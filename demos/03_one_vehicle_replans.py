@@ -8,7 +8,8 @@ oracle on the 0.1-kWh charge grid:
   2. sell   -- a vehicle-to-grid sedan that already covered its need
                discharges into the spike and buys the energy back cheap.
   3. reserve -- arbitrage looks tempting, but the battery reserve caps it;
-               the greedy fill breaks the floor and the simplex takes over.
+               the greedy fill breaks the floor and the exact prefix-band
+               solver takes over.
 
 The scheduling day starts at noon, so slot s covers the wall-clock hour
 11+s; the spike slot 10 is the 21:00 hour.
@@ -109,7 +110,7 @@ def scene_reserve():
           f"hour, but selling")
     print(f"  more than {car.initial_soc - reserve:.1f} kWh would breach "
           f"the reserve -- hence the {sol.method} path")
-    assert sol.method == "simplex"
+    assert sol.method == "exact"
     check_oracle(sub, sol)
 
 

@@ -23,8 +23,8 @@ class InfeasibleError(FleetdrError):
 
     Attributes:
         user_id: id of the user whose subproblem failed, when applicable.
-        constraint: short name of the binding constraint class
-            (e.g. "energy-vs-bounds", "soc-floor", "aggregate-cap").
+        constraint: short name of the binding constraint class:
+            "energy balance", "state-of-charge" or "demand cap".
         detail: free-form human-readable diagnosis.
     """
 

@@ -4,14 +4,15 @@ Each best-response step of the coordination loop asks one vehicle to replan
 its charging over the slots it can still influence: minimise a linear
 congestion signal over its feasible charge/discharge set. The feasible set
 is a box (per-slot power limits), an equality (remaining energy must be
-delivered by departure), and running state-of-charge floors (battery never
-drains below its reserve).
+delivered by departure), and a running state-of-charge band (the battery
+never drains below its reserve nor fills past its capacity).
 
 Three ways to solve the same object:
 
 * :func:`solve` -- production path: a greedy fill that is provably optimal
-  whenever the state-of-charge floors do not bind, with a simplex fallback
-  when they do.
+  whenever the state-of-charge band does not bind, and an exact dynamic
+  program over the running sum (a min-cost flow along the slot chain) when
+  it does.
 * :func:`brute_force_oracle` -- exact dynamic program over a discretised
   charge grid, for small instances, used to validate the production path.
 * :func:`enumerate_oracle` -- literal exhaustive search over the same grid,
@@ -20,6 +21,7 @@ Three ways to solve the same object:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InfeasibleError
 from .fleet import N_SLOTS, PevProfile, as_profile
-from .simplex import solve_lp
+from .simplex import solve_lp  # noqa: F401  perfbench traces this name
 
 FEAS_TOL = 1e-7
 SOC_FLOOR_FRACTION = 0.2
@@ -72,7 +74,7 @@ class UserSubproblem:
 class SubproblemSolution:
     x: np.ndarray
     objective: float
-    method: str  # "greedy" | "simplex" | "empty"
+    method: str  # "greedy" | "exact" | "empty"
 
 
 def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
@@ -185,13 +187,72 @@ def _greedy_fill(sub: UserSubproblem) -> np.ndarray | None:
     return x
 
 
+def _prefix_band_fill(sub: UserSubproblem) -> np.ndarray | None:
+    """Exact optimum inside the state-of-charge band; None if infeasible.
+
+    A dynamic program over the running sum s. After each slot, the cheapest
+    cost of reaching s is convex and piecewise linear on an interval, held
+    as the interval's left end plus its (slope, length) pieces in ascending
+    slope. A slot shifts the interval by its lower bound and merges in one
+    piece of its box width at its own price; the band then trims the
+    cheapest pieces from the left and the dearest from the right. The
+    backtrack picks, slot by slot, the cheapest predecessor sum that the
+    slot's box can reach, and on a flat stretch the one that moves the slot
+    least, so tied optima never charge and discharge for zero gain.
+    """
+    lo, up, coeff = sub.lo.tolist(), sub.up.tolist(), sub.coeff.tolist()
+    floor, ceiling = sub.min_prefix, sub.max_prefix
+    start = 0.0
+    pieces: List[tuple[float, float]] = []
+    stages = []  # (start, pieces) of the cost before each slot
+    for i in range(sub.n_free):
+        stages.append((start, pieces.copy()))
+        start += lo[i]
+        if up[i] > lo[i]:
+            bisect.insort(pieces, (coeff[i], up[i] - lo[i]))
+        if start < floor:
+            cut = floor - start
+            while pieces and pieces[0][1] <= cut:
+                cut -= pieces.pop(0)[1]
+            if pieces:
+                pieces[0] = (pieces[0][0], pieces[0][1] - cut)
+            elif cut > FEAS_TOL:
+                return None
+            start = floor
+        end = start + sum(length for _, length in pieces)
+        if end > ceiling:
+            cut = end - ceiling
+            while pieces and pieces[-1][1] <= cut:
+                cut -= pieces.pop()[1]
+            if pieces:
+                pieces[-1] = (pieces[-1][0], pieces[-1][1] - cut)
+            elif cut > FEAS_TOL:
+                return None
+    end = start + sum(length for _, length in pieces)
+    if not start - FEAS_TOL <= sub.target <= end + FEAS_TOL:
+        return None
+
+    x = np.zeros(sub.n_free)
+    s = sub.target
+    for i in range(sub.n_free - 1, -1, -1):
+        start, pieces = stages[i]
+        cheaper = sum(length for slope, length in pieces if slope < coeff[i])
+        tied = sum(length for slope, length in pieces if slope == coeff[i])
+        end = start + sum(length for _, length in pieces)
+        best = min(max(s, start + cheaper), start + cheaper + tied)
+        prev = min(max(best, start, s - up[i]), end, s - lo[i])
+        x[i] = s - prev
+        s = prev
+    return x
+
+
 def solve(sub: UserSubproblem) -> SubproblemSolution:
     """Solve one vehicle's replanning LP.
 
-    The greedy fill solves the relaxation without state-of-charge floors;
-    if its answer happens to respect the floors it is optimal for the full
+    The greedy fill solves the relaxation without the state-of-charge band;
+    if its answer happens to respect the band it is optimal for the full
     problem too (adding constraints can only worsen the optimum), and that
-    certificate lets most solves skip the simplex entirely.
+    certificate lets most solves skip the exact prefix-band program.
     """
     if sub.n_free == 0:
         if abs(sub.target) > FEAS_TOL:
@@ -213,26 +274,14 @@ def solve(sub: UserSubproblem) -> SubproblemSolution:
         return SubproblemSolution(
             x=x, objective=float(sub.coeff @ x), method="greedy")
 
-    k = sub.n_free
-    # running-sum floor and ceiling as +-cumsum(x) <= bounds
-    L = np.tril(np.ones((k, k)))
-    A_ub = np.vstack([-L, L])
-    b_ub = np.concatenate([np.full(k, -sub.min_prefix),
-                           np.full(k, sub.max_prefix)])
-    finite = np.isfinite(b_ub)
-    res = solve_lp(sub.coeff, A_ub=A_ub[finite], b_ub=b_ub[finite],
-                   A_eq=np.ones((1, k)), b_eq=[sub.target],
-                   lo=sub.lo, up=sub.up)
-    if res.status == "infeasible":
+    x = _prefix_band_fill(sub)
+    if x is None:
         raise InfeasibleError(
             "no schedule meets the energy target while keeping the battery "
             "between its reserve and its capacity", user_id=sub.user_id,
             constraint="state-of-charge")
-    if not res.ok:
-        raise InfeasibleError(f"LP solver returned {res.status}",
-                              user_id=sub.user_id, constraint="solver")
-    return SubproblemSolution(x=res.x, objective=float(res.objective),
-                              method="simplex")
+    return SubproblemSolution(x=x, objective=float(sub.coeff @ x),
+                              method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +416,3 @@ def enumerate_oracle(sub: UserSubproblem, grid_step: float = 0.1
     return SubproblemSolution(
         x=np.array([u * grid_step for u in best]),
         objective=float(best_cost), method="enum")
-
-
-def dump_lp(sub: UserSubproblem, path) -> None:
-    """Write the LP in a readable text form for debugging."""
-    lines = [f"\\ user {sub.user_id} replanning problem", "Minimize"]
-    terms = " + ".join(f"{sub.coeff[i]:+.9g} x{sub.slots[i]}"
-                       for i in range(sub.n_free))
-    lines.append(f"  obj: {terms or '0'}")
-    lines.append("Subject To")
-    balance = " + ".join(f"x{s}" for s in sub.slots)
-    lines.append(f"  energy: {balance or '0'} = {sub.target:.9g}")
-    for i in range(sub.n_free):
-        prefix = " + ".join(f"x{sub.slots[j]}" for j in range(i + 1))
-        lines.append(f"  soc_lo{sub.slots[i]}: {prefix} >= {sub.min_prefix:.9g}")
-        if np.isfinite(sub.max_prefix):
-            lines.append(
-                f"  soc_hi{sub.slots[i]}: {prefix} <= {sub.max_prefix:.9g}")
-    lines.append("Bounds")
-    for i in range(sub.n_free):
-        lines.append(f"  {sub.lo[i]:.9g} <= x{sub.slots[i]} <= {sub.up[i]:.9g}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import block_diag, hstack
 
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
@@ -8,7 +10,6 @@ from fleetdr.subproblem import (
     brute_force_oracle,
     build_subproblem,
     check_feasible,
-    dump_lp,
     enumerate_oracle,
     solve,
 )
@@ -167,28 +168,39 @@ def test_solve_unreachable_target():
     assert err.value.constraint == "energy balance"
 
 
-def test_solve_soc_floor_forces_simplex():
+def test_solve_soc_floor_forces_exact():
     # discharging early is tempting but would drain below the reserve
     sub = make_sub(coeff=np.array([5.0, -1.0, 0.0]),
                    lo=np.full(3, -1.8), up=np.full(3, 1.8),
                    target=0.0, min_prefix=-0.5)
     sol = solve(sub)
-    assert sol.method == "simplex"
+    assert sol.method == "exact"
     assert check_feasible(sub, sol.x) == []
     oracle = brute_force_oracle(sub, GRID)
     assert sol.objective == pytest.approx(oracle.objective, abs=1e-9)
 
 
-def test_solve_soc_ceiling_forces_simplex():
+def test_solve_soc_ceiling_forces_exact():
     # nearly-full battery: big early charge would overfill it
     sub = make_sub(coeff=np.array([-5.0, 5.0, 0.0]),
                    lo=np.full(3, -1.8), up=np.full(3, 1.8),
                    target=0.0, min_prefix=-23.0, max_prefix=1.0)
     sol = solve(sub)
-    assert sol.method == "simplex"
+    assert sol.method == "exact"
     assert check_feasible(sub, sol.x) == []
     oracle = brute_force_oracle(sub, GRID)
     assert sol.objective == pytest.approx(oracle.objective, abs=1e-9)
+
+
+def test_solve_tied_slots_do_not_cycle_the_battery():
+    # equal prices make any charge-then-discharge pair cost nothing; the
+    # ceiling fails the greedy fill, and the exact path must stay idle
+    sub = make_sub(slots=[3, 4], coeff=np.array([1.0, 1.0]),
+                   lo=np.full(2, -1.8), up=np.full(2, 1.8),
+                   target=0.0, min_prefix=-10.0, max_prefix=1.0)
+    sol = solve(sub)
+    assert sol.method == "exact"
+    assert np.array_equal(sol.x, [0.0, 0.0])
 
 
 def test_solve_reserve_breach_is_infeasible():
@@ -292,10 +304,84 @@ def test_dp_agrees_with_exhaustive_enumeration():
     assert checked >= 20
 
 
-def test_dump_lp_writes_readable_problem(tmp_path):
-    path = tmp_path / "user.lp"
-    dump_lp(make_sub(max_prefix=3.0), path)
-    text = path.read_text()
-    assert "Minimize" in text and "energy:" in text
-    assert "soc_lo3" in text and "soc_hi5" in text
-    assert text.rstrip().endswith("End")
+def band_instance(rng):
+    """A replanning LP of the shape ``build_subproblem`` emits: a V2G or
+    charge-only box, upper bounds clipped by a demand cap's head-room, and
+    the state-of-charge band of a 24-kWh battery. The battery starts within
+    3 kWh of its reserve or of full, so the band often binds."""
+    k = int(rng.integers(1, N_SLOTS + 1))
+    lo = np.full(k, -1.8 if rng.random() < 0.7 else 0.0)
+    up = np.full(k, 1.8)
+    if rng.random() < 0.5:
+        up = np.maximum(np.minimum(up, rng.uniform(-0.5, 2.5, k)), lo)
+    soc0 = float(np.clip(rng.choice([4.8, 24.0]) + rng.uniform(-3.0, 3.0),
+                         0.0, 24.0))
+    floor, ceiling = 4.8 - soc0, 24.0 - soc0
+    return UserSubproblem(
+        user_id=int(rng.integers(1, 1000)), slots=list(range(1, k + 1)),
+        coeff=rng.normal(0.0, 2.0, k), lo=lo, up=up,
+        target=rng.uniform(max(floor, -4.0) - 0.5, min(ceiling, 8.0) + 0.5),
+        min_prefix=floor, max_prefix=ceiling)
+
+
+def highs_batch(subs):
+    """HiGHS verdicts and optimal objectives for many band LPs at once.
+
+    The instances share no variable, so they go into one block-diagonal LP
+    with one extra variable t per instance that loosens every one of its
+    rows. Minimising the sum of t leaves t = 0 exactly on the feasible
+    instances. Pinning those t at 0 and minimising the summed cost then
+    optimises each feasible block on its own, because a block that could
+    do better would lower the sum. Returns None for an infeasible
+    instance, else its optimal objective. Presolve is off only because it
+    takes longer than the solve on an LP of this shape.
+    """
+    blocks, rhs = [], []
+    for sub in subs:
+        k = sub.n_free
+        L = np.tril(np.ones((k, k)))
+        one = np.ones((1, k))
+        blocks.append(np.vstack([-L, L, one, -one]))
+        rhs.append(np.concatenate([np.full(k, -sub.min_prefix),
+                                   np.full(k, sub.max_prefix),
+                                   [sub.target, -sub.target]]))
+    loosen = block_diag([-np.ones((len(r), 1)) for r in rhs])
+    A_ub = hstack([block_diag(blocks), loosen], format="csr")
+    b_ub = np.concatenate(rhs)
+    box = [(lo, up) for sub in subs for lo, up in zip(sub.lo, sub.up)]
+    n, m = len(box), len(subs)
+
+    options = {"presolve": False}
+    relax = linprog(np.r_[np.zeros(n), np.ones(m)], A_ub=A_ub, b_ub=b_ub,
+                    bounds=box + [(0, None)] * m, method="highs",
+                    options=options)
+    assert relax.status == 0, relax.message
+    feasible = relax.x[n:] <= 1e-7
+    cost = np.concatenate([sub.coeff for sub in subs])
+    best = linprog(np.r_[cost, np.zeros(m)], A_ub=A_ub, b_ub=b_ub,
+                   bounds=box + [(0, 0 if ok else None) for ok in feasible],
+                   method="highs", options=options)
+    assert best.status == 0, best.message
+    out, pos = [], 0
+    for sub, ok in zip(subs, feasible):
+        x = best.x[pos:pos + sub.n_free]
+        out.append(float(sub.coeff @ x) if ok else None)
+        pos += sub.n_free
+    return out
+
+
+def test_solver_matches_highs_on_band_instances():
+    rng = np.random.default_rng(1604)
+    subs = [band_instance(rng) for _ in range(2000)]
+    want = highs_batch(subs)
+    methods = {"greedy": 0, "exact": 0, "infeasible": 0}
+    for sub, ref in zip(subs, want):
+        got = outcomes(sub, solve)
+        assert (got is None) == (ref is None), f"verdict mismatch on {sub}"
+        if got is None:
+            methods["infeasible"] += 1
+            continue
+        methods[got.method] += 1
+        assert check_feasible(sub, got.x) == []
+        assert got.objective == pytest.approx(ref, abs=1e-7)
+    assert min(methods.values()) >= 400, methods
