@@ -5,13 +5,12 @@ from .errors import ConfigError, DataError, FleetdrError, InfeasibleError
 from .fleet import (Dist, FleetSpec, HouseholdSpec, PevProfile,
                     baseline_household, read_fleet_csv, sample_fleet,
                     uncoordinated_profile, write_fleet_csv)
-from .market import (ClearingPolicy, CostBreakdown, MarketDay, MarketSpec,
-                     PriceSeries, SpikeSpec, build_da_profile, imbalance,
-                     load_market_day, procurement_cost, save_market_day,
-                     synth_prices, water_fill)
+from .market import (CostBreakdown, MarketDay, MarketSpec, PriceSeries,
+                     SpikeSpec, imbalance, load_market_day, procurement_cost,
+                     save_market_day, synth_prices, water_fill)
 from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
-                          cap_value, decide_altering, real_time_walk,
-                          shape_day_ahead, simulate_day)
+                          ShapedPlans, cap_value, decide_altering,
+                          real_time_walk, shape_day_ahead, simulate_day)
 from .subproblem import (SubproblemSolution, UserSubproblem,
                          build_subproblem, check_feasible, solve)
 from .report import (CaseComparison, CaseConfig, CaseResult, emit,

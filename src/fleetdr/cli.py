@@ -128,17 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides config out_dir)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count for batches of seeded scenarios; "
-                            "a single scenario runs serially")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:

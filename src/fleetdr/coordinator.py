@@ -22,7 +22,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,11 +55,14 @@ class ScheduleState:
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
+    # 0-based day slots of each user's window, in causal order
+    windows: List[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.household_total = as_profile(self.household_total)
         self.da_profile = as_profile(self.da_profile)
-        if self.pev is None:
+        given = self.pev is not None
+        if not given:
             self.pev = np.zeros((len(self.fleet), N_SLOTS))
         self.pev = np.asarray(self.pev, dtype=float)
         if self.pev.shape != (len(self.fleet), N_SLOTS):
@@ -72,15 +75,28 @@ class ScheduleState:
                     f"user {prof.user_id}: charging window wraps past the "
                     "end of the scheduling day; shift day_start_hour so "
                     "every window fits inside one day")
+        self.windows = [np.arange(p.arrival_slot - 1, p.departure_slot)
+                        for p in self.fleet]
+        if given:
+            # passes only ever write window slots, so a plan must start
+            # with nothing outside its window
+            outside = self.pev.copy()
+            for row, win in zip(outside, self.windows):
+                row[win] = 0.0
+            if outside.any():
+                idx = int(np.flatnonzero(outside.any(axis=1))[0])
+                raise ConfigError(
+                    f"user {self.fleet[idx].user_id}: plan has load "
+                    "outside its charging window")
 
     @property
     def aggregate(self) -> np.ndarray:
         return self.household_total + self.pev.sum(axis=0)
 
-    def history_for(self, idx: int) -> List[float]:
-        prof = self.fleet[idx]
-        return [float(self.pev[idx, s - 1]) for s in prof.window_slots()
-                if s <= self.realized_upto]
+    def history_for(self, idx: int) -> np.ndarray:
+        """User ``idx``'s plan on its window slots that are already real."""
+        win = self.windows[idx]
+        return self.pev[idx, win[:max(0, self.realized_upto - win[0])]]
 
 
 def _matrix_mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,17 +145,18 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         users = range(len(state.fleet))
     agg_pev = state.pev.sum(axis=0)
     for idx in users:
-        prof = state.fleet[idx]
-        others = state.household_total + agg_pev - state.pev[idx]
+        plan = state.pev[idx]
+        others = state.household_total + agg_pev - plan
         signal = others - state.da_profile
         room = None if cap is None else cap - others
+        history = state.history_for(idx)
         sub = build_subproblem(
-            prof, signal, lam=lam, history=state.history_for(idx),
+            state.fleet[idx], signal, lam=lam, history=history,
             t0_sign=t0_sign, t0_term_scale=t0_term_scale, slot_cap=room)
         sol = solve(sub)
-        new_plan = sub.expand(sol.x)
-        agg_pev += new_plan - state.pev[idx]
-        state.pev[idx] = new_plan
+        free = state.windows[idx][len(history):]
+        agg_pev[free] += sol.x - plan[free]
+        plan[free] = sol.x
 
 
 def shape_day_ahead(state: ScheduleState, conv: ConvergenceSpec, *,
@@ -167,22 +184,42 @@ def shape_day_ahead(state: ScheduleState, conv: ConvergenceSpec, *,
 
 def connected_users(state: ScheduleState, slot: int) -> List[int]:
     """Fleet rows plugged in at ``slot`` with that slot still unfrozen."""
-    out = []
-    for idx, prof in enumerate(state.fleet):
-        if slot > state.realized_upto and slot in prof.window_slots():
-            out.append(idx)
-    return out
+    if slot <= state.realized_upto:
+        return []
+    return [idx for idx, win in enumerate(state.windows)
+            if win[0] < slot <= win[-1] + 1]
+
+
+@dataclass(frozen=True, eq=False)
+class ShapedPlans:
+    """Everyone's day-ahead plan after shaping under one cap.
+
+    ``pev`` is read-only: every walk that starts from it works on its own
+    copy.
+    """
+
+    pev: np.ndarray
+    mse_trace: Tuple[float, ...]
+    cap: float | None
 
 
 @dataclass
 class DayResult:
-    """Everything the real-time walk produced for one case run."""
+    """Everything the real-time walk produced for one case run.
+
+    ``converged`` says whether day-ahead shaping settled (its last sweep
+    moved plans by less than ``mse_tol``) rather than running out of
+    sweeps; ``shaped`` holds the plans it settled on, for a later case
+    under the same cap.
+    """
 
     pev: np.ndarray
     aggregate: np.ndarray
     da_aggregate: np.ndarray
     da_mse_trace: List[float]
     altered_slots: List[int]
+    converged: bool
+    shaped: ShapedPlans | None = None
 
     @property
     def da_sweeps(self) -> int:
@@ -229,12 +266,32 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
                  market: MarketDay, conv: ConvergenceSpec, *,
                  altering: bool = True, lam_rt: float = 0.5,
                  trigger: float = 2.0, t0_term_scale: float = 1.0,
-                 cap: float | None = None) -> DayResult:
+                 cap: float | None = None,
+                 shaped: ShapedPlans | None = None) -> DayResult:
     """Full pipeline for one coordination case: shape day-ahead, then walk
-    the day in real time."""
-    state = ScheduleState(fleet=list(fleet), household_total=household_total,
-                          da_profile=market.da_profile)
-    trace = shape_day_ahead(state, conv, cap=cap)
+    the day in real time.
+
+    ``shaped`` skips the shaping and walks from a copy of its plans. It must
+    be the ``DayResult.shaped`` of an earlier call on the same fleet,
+    households, purchase and ``conv``, under the same ``cap``.
+    """
+    if shaped is None:
+        state = ScheduleState(fleet=list(fleet),
+                              household_total=household_total,
+                              da_profile=market.da_profile)
+        trace = shape_day_ahead(state, conv, cap=cap)
+        plans = state.pev.copy()
+        plans.setflags(write=False)
+        shaped = ShapedPlans(pev=plans, mse_trace=tuple(trace), cap=cap)
+    else:
+        if shaped.cap != cap:
+            raise ConfigError(f"plans shaped under cap {shaped.cap} cannot "
+                              f"start a day under cap {cap}")
+        state = ScheduleState(fleet=list(fleet),
+                              household_total=household_total,
+                              da_profile=market.da_profile,
+                              pev=shaped.pev.copy())
+        trace = list(shaped.mse_trace)
     da_agg = state.aggregate
     altered = real_time_walk(state, market, conv, altering=altering,
                              lam=lam_rt, trigger=trigger,
@@ -246,4 +303,5 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
             f"aggregate exceeds the demand cap at slot {worst} "
             f"({agg[worst - 1]:.6f} > {cap:.6f})", constraint="demand cap")
     return DayResult(pev=state.pev, aggregate=agg, da_aggregate=da_agg,
-                     da_mse_trace=trace, altered_slots=altered)
+                     da_mse_trace=trace, altered_slots=altered,
+                     converged=trace[-1] < conv.mse_tol, shaped=shaped)

@@ -31,7 +31,7 @@ def as_profile(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (N_SLOTS,):
         raise ConfigError(f"load profile must have shape ({N_SLOTS},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigError("load profile contains non-finite values")
     return arr
 

@@ -11,8 +11,7 @@ consumption from that profile settles at real-time prices, symmetrically
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,41 +194,6 @@ def water_fill(household_agg, energy: float, mask=None) -> np.ndarray:
     out = hh.copy()
     out[mask] = np.maximum(hh[mask], level)
     return out
-
-
-@dataclass
-class ClearingPolicy:
-    """How much of a submitted DA bid the market clears.
-
-    kind "full" clears everything; "fraction" clears a uniform share;
-    "clamp" caps the bid slot-wise at ``clamp`` (kWh).
-    """
-
-    kind: str = "full"
-    fraction: float = 1.0
-    clamp: np.ndarray | None = None
-
-    def validate(self) -> None:
-        if self.kind not in ("full", "fraction", "clamp"):
-            raise ConfigError(f"clearing policy kind {self.kind!r} unknown")
-        if self.kind == "fraction" and not 0 <= self.fraction <= 1:
-            raise ConfigError("clearing fraction must be in [0, 1]")
-        if self.kind == "clamp" and self.clamp is None:
-            raise ConfigError("clamp policy needs a clamp profile")
-
-
-def build_da_profile(bid, policy: ClearingPolicy | None = None) -> np.ndarray:
-    """Apply a clearing policy to a non-negative DA bid profile."""
-    bid = as_profile(bid)
-    if np.any(bid < 0):
-        raise ConfigError("DA bid must be non-negative")
-    policy = policy or ClearingPolicy()
-    policy.validate()
-    if policy.kind == "full":
-        return bid.copy()
-    if policy.kind == "fraction":
-        return bid * policy.fraction
-    return np.minimum(bid, as_profile(policy.clamp))
 
 
 # ---------------------------------------------------------------------------

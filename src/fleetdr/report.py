@@ -15,7 +15,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .coordinator import ConvergenceSpec, DayResult, cap_value, simulate_day
+from .coordinator import (ConvergenceSpec, DayResult, ShapedPlans, cap_value,
+                          simulate_day)
 from .errors import ConfigError, DataError
 from .fleet import N_SLOTS, PevProfile, as_profile, uncoordinated_profile
 from .market import MarketDay, CostBreakdown, procurement_cost
@@ -70,6 +71,7 @@ class CaseResult:
     purchased: np.ndarray  # day-ahead position, kWh per slot
     da_mse_trace: List[float]
     altered_slots: List[int]
+    converged: bool | None = None  # None for case 1, which does not shape
 
     @property
     def total_cost(self) -> float:
@@ -121,7 +123,9 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     Every case sees the identical fleet, households and prices. Each
     coordinated case's day-ahead position is its own shaped aggregate, so
     imbalance settles exactly the real-time deviations that case makes;
-    the uncoordinated case buys everything in real time.
+    the uncoordinated case buys everything in real time. Shaping runs once
+    per distinct cap: cases 2 and 3 (and case 4 when ``kappa`` is None)
+    walk from copies of the same shaped plans.
     """
     config = config if config is not None else CaseConfig()
     config.validate()
@@ -135,15 +139,18 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     cap = (cap_value(hh, fleet, config.kappa)
            if config.kappa is not None else None)
     runs = [(2, False, None), (3, True, None), (4, True, cap)]
+    shaped: Dict[float | None, ShapedPlans] = {}  # by cap
     for case, altering, case_cap in runs:
         day = simulate_day(fleet, hh, market, config.conv, altering=altering,
                            lam_rt=config.lam_rt, trigger=config.trigger,
-                           t0_term_scale=config.t0_term_scale, cap=case_cap)
+                           t0_term_scale=config.t0_term_scale, cap=case_cap,
+                           shaped=shaped.get(case_cap))
+        shaped.setdefault(case_cap, day.shaped)
         results.append(CaseResult(
             case, CASE_LABELS[case],
             _priced(market, day.da_aggregate, day.aggregate),
             day.aggregate, day.da_aggregate,
-            list(day.da_mse_trace), list(day.altered_slots)))
+            list(day.da_mse_trace), list(day.altered_slots), day.converged))
 
     deltas = {}
     for i, a in enumerate(results):
@@ -230,6 +237,7 @@ def _emit_comparison(cases: CaseComparison, out_dir,
             "peak_kwh": round(r.peak_kwh, 6),
             "peak_slot": r.peak_slot,
             "sweeps": r.sweeps,
+            "converged": r.converged,
             "altered_slots": r.altered_slots,
         } for r in cases.results],
         "deltas_usd": {f"{i}-{j}": round(v, 6)
@@ -264,6 +272,7 @@ def _emit_day(day: DayResult, out_dir, meta: dict | None) -> List[str]:
         "peak_kwh": round(float(day.aggregate.max()), 6),
         "peak_slot": int(np.argmax(day.aggregate)) + 1,
         "sweeps": day.da_sweeps,
+        "converged": day.converged,
         "altered_slots": day.altered_slots,
         "meta": meta or {},
     }

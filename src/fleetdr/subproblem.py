@@ -29,7 +29,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, InfeasibleError
-from .fleet import N_SLOTS, PevProfile, as_profile
+from .fleet import PevProfile, as_profile
 from .simplex import solve_lp  # noqa: F401  perfbench traces this name
 
 FEAS_TOL = 1e-7
@@ -59,15 +59,6 @@ class UserSubproblem:
     @property
     def n_free(self) -> int:
         return len(self.slots)
-
-    def expand(self, x_free) -> np.ndarray:
-        """Lay history + a free-slot solution out on the full 24-slot day."""
-        out = np.zeros(N_SLOTS)
-        for pos, s in enumerate(self.history_slots):
-            out[s - 1] = self.history[pos]
-        for pos, s in enumerate(self.slots):
-            out[s - 1] = x_free[pos]
-        return out
 
 
 @dataclass
@@ -114,24 +105,24 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
     floor = soc_floor_frac * profile.capacity
 
     k = len(free_slots)
+    free = np.array(free_slots, dtype=np.intp) - 1
     lo = np.full(k, -profile.rate if profile.v2g else 0.0)
     up = np.full(k, profile.rate)
     if slot_cap is not None and k:
         room = as_profile(slot_cap)
-        up = np.minimum(up, room[[s - 1 for s in free_slots]])
-        if np.any(up < lo - FEAS_TOL):
+        up = np.minimum(up, room[free])
+        if (up < lo - FEAS_TOL).any():
             raise InfeasibleError(
                 "demand cap leaves no room at a connected slot",
                 user_id=profile.user_id, constraint="demand cap")
         up = np.maximum(up, lo)
-    coeff = lam * signal[[s - 1 for s in free_slots]] if k else np.zeros(0)
+    coeff = lam * signal[free]
     if k and lam < 1.0 and t0_sign:
-        coeff = coeff.copy()
         coeff[0] += (1.0 - lam) * t0_term_scale * float(np.sign(t0_sign))
 
     return UserSubproblem(
         user_id=profile.user_id,
-        slots=list(free_slots),
+        slots=free_slots,
         coeff=coeff,
         lo=lo,
         up=up,
@@ -139,7 +130,7 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
         min_prefix=floor - soc_start,
         max_prefix=profile.capacity - soc_start,
         history=history,
-        history_slots=list(fixed_slots),
+        history_slots=fixed_slots,
     )
 
 
@@ -177,11 +168,11 @@ def _greedy_fill(sub: UserSubproblem) -> np.ndarray | None:
         return None
     x = sub.lo.copy()
     remaining = sub.target - lo_sum
-    order = np.argsort(sub.coeff, kind="stable")
-    for i in order:
+    width = (sub.up - sub.lo).tolist()
+    for i in sub.coeff.argsort(kind="stable").tolist():
         if remaining <= 0:
             break
-        add = min(sub.up[i] - sub.lo[i], remaining)
+        add = min(width[i], remaining)
         x[i] += add
         remaining -= add
     return x
@@ -269,8 +260,8 @@ def solve(sub: UserSubproblem) -> SubproblemSolution:
             f"[{sub.lo.sum():.3f}, {sub.up.sum():.3f}]",
             user_id=sub.user_id, constraint="energy balance")
     running = np.cumsum(x)
-    if (np.all(running >= sub.min_prefix - FEAS_TOL)
-            and np.all(running <= sub.max_prefix + FEAS_TOL)):
+    if (running.min() >= sub.min_prefix - FEAS_TOL
+            and running.max() <= sub.max_prefix + FEAS_TOL):
         return SubproblemSolution(
             x=x, objective=float(sub.coeff @ x), method="greedy")
 

@@ -6,6 +6,7 @@ scenario in configs/reference.yaml is the fixed 1000-vehicle day all the
 aggregate-level checks run against.
 """
 
+import hashlib
 import os
 import time
 
@@ -250,3 +251,40 @@ def test_criterion_9_compare_cases_is_reproducible(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \
             f"{name} differs between identical runs"
     report(9, f"{len(names_a)} files byte-identical across reruns")
+
+
+# ---------------------------------------------------------------------------
+# pinned reference outputs
+
+# sha256 of the reference day's artifacts at the config seed; summary.json
+# is left out because its metadata carries the config digest
+REFERENCE_DIGESTS = {
+    "case_costs.csv":
+        "506acb857d299b91947e21cee6fc6901203372f5dc64a7f4719cc613a88a77f5",
+    "aggregate_1.csv":
+        "77eaf531f33a26cccd4c09fd4b74d9ee3bec0f70cd747b2c95afc3407e0b0efa",
+    "aggregate_2.csv":
+        "630b9abff5cf784089e4dcbead5fc200a91184ac73d3b188fb8d13b47f92567d",
+    "aggregate_3.csv":
+        "fbaa704c459803c9cd60e9661a752b2fd8c21f5a851d5e20769ffa873819d1c8",
+    "aggregate_4.csv":
+        "42c3c3d421c94f7c764eef30a9b02dfd8374142a13b417efd74fdb69788ed945",
+    "mse_trace.csv":
+        "58a87eb8e0cc7eca8b1056afcb9c31052d39f332c695de221c92224ec8ec05e7",
+}
+
+
+def test_reference_artifacts_match_pinned_digests(tmp_path):
+    cmd_compare_cases(load_config(REFERENCE_YAML), out=str(tmp_path))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in REFERENCE_DIGESTS}
+    changed = sorted(n for n in got if got[n] != REFERENCE_DIGESTS[n])
+    assert not changed, f"reference artifacts changed: {changed}"
+
+
+def test_reference_day_shaping_converges(reference_cases):
+    assert reference_cases.get(1).converged is None
+    for case in (2, 3, 4):
+        r = reference_cases.get(case)
+        assert r.converged is True, f"case {case} ran out of sweeps"
+        assert r.da_mse_trace[-1] < CONV_TOL

@@ -207,13 +207,6 @@ def test_negative_seed_exits_config(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_bad_jobs_exits_config(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.yaml")
-    code = main(["compare-cases", "--config", cfg,
-                 "--out", str(tmp_path / "o"), "--jobs", "0"])
-    assert code == EXIT_CONFIG
-
-
 def test_tight_cap_exits_infeasible(tmp_path, capsys):
     # kappa barely above 1 puts the cap below the household evening peak
     cfg = write_config(tmp_path / "cfg.yaml", kappa=1.01)

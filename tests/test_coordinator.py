@@ -78,6 +78,18 @@ def test_state_rejects_bad_pev_shape():
                       da_profile=np.zeros(24), pev=np.zeros((2, 24)))
 
 
+def test_state_rejects_plans_outside_the_window():
+    prof = make_profile(user_id=7, arrival_slot=2, departure_slot=4)
+    pev = np.zeros((1, N_SLOTS))
+    pev[0, 1:4] = 1.2
+    ScheduleState(fleet=[prof], household_total=np.zeros(24),
+                  da_profile=np.zeros(24), pev=pev)
+    pev[0, 4] = 0.5  # slot 5, after departure
+    with pytest.raises(ConfigError, match="user 7"):
+        ScheduleState(fleet=[prof], household_total=np.zeros(24),
+                      da_profile=np.zeros(24), pev=pev)
+
+
 def test_state_rejects_wrapped_windows():
     wrapped = make_profile(arrival_slot=20, departure_slot=3)
     with pytest.raises(ConfigError, match="wraps"):
@@ -92,7 +104,7 @@ def test_history_for_respects_realized_boundary():
                           da_profile=np.zeros(24))
     state.pev[0, 1:6] = [0.5, 0.6, 0.7, 0.8, 0.9]
     state.realized_upto = 4
-    assert state.history_for(0) == [0.5, 0.6, 0.7]
+    assert state.history_for(0).tolist() == [0.5, 0.6, 0.7]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +298,42 @@ def test_simulate_day_spike_changes_only_realtime_aggregate():
                        t0_term_scale=1000.0)
     assert 10 in res.altered_slots
     assert res.aggregate[9] < res.da_aggregate[9]
+
+
+def test_simulate_day_from_shaped_plans_matches_a_fresh_run():
+    fleet = small_fleet()
+    hh = np.full(N_SLOTS, 3.0)
+    bid = water_fill(hh, sum(p.required_energy for p in fleet))
+    rt = np.full(N_SLOTS, 0.03)
+    rt[9] = 0.3
+    day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
+                    rt_prices=PriceSeries(rt, kind="rt"), da_profile=bid)
+    conv = ConvergenceSpec()
+    first = simulate_day(fleet, hh, day, conv, altering=False)
+    fresh = simulate_day(fleet, hh, day, conv, t0_term_scale=1000.0)
+    reused = simulate_day(fleet, hh, day, conv, t0_term_scale=1000.0,
+                          shaped=first.shaped)
+    assert reused.shaped is first.shaped
+    assert reused.converged and reused.converged == fresh.converged
+    assert reused.da_mse_trace == fresh.da_mse_trace
+    assert reused.altered_slots == fresh.altered_slots == [10]
+    assert np.array_equal(reused.pev, fresh.pev)
+    assert np.array_equal(reused.da_aggregate, fresh.da_aggregate)
+    assert not np.shares_memory(reused.pev, first.pev)
+    assert not np.shares_memory(reused.pev, first.shaped.pev)
+    assert np.array_equal(first.shaped.pev, first.pev)  # walk left it alone
+
+
+def test_simulate_day_refuses_plans_shaped_under_another_cap():
+    fleet = small_fleet()
+    hh = np.full(N_SLOTS, 3.0)
+    day = make_day(purchased=water_fill(
+        hh, sum(p.required_energy for p in fleet)))
+    conv = ConvergenceSpec()
+    shaped = simulate_day(fleet, hh, day, conv).shaped
+    cap = cap_value(hh, fleet, kappa=3.0)
+    with pytest.raises(ConfigError, match="cap"):
+        simulate_day(fleet, hh, day, conv, cap=cap, shaped=shaped)
 
 
 def test_convergence_spec_validation():

@@ -7,12 +7,10 @@ from hypothesis.extra.numpy import arrays
 from fleetdr.errors import ConfigError, DataError
 from fleetdr.fleet import N_SLOTS
 from fleetdr.market import (
-    ClearingPolicy,
     MarketDay,
     MarketSpec,
     PriceSeries,
     SpikeSpec,
-    build_da_profile,
     imbalance,
     load_market_day,
     load_prices,
@@ -199,37 +197,6 @@ def test_water_fill_conservation_property(hh, energy):
     out = water_fill(hh, energy)
     assert abs((out - hh).sum() - energy) < 1e-6 * max(1.0, energy)
     assert np.all(out >= hh - 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# clearing policies
-
-def test_build_da_profile_full_copy():
-    bid = np.linspace(0, 23, N_SLOTS)
-    out = build_da_profile(bid)
-    assert np.array_equal(out, bid)
-    out[0] = 99.0
-    assert bid[0] == 0.0  # caller's array untouched
-
-
-def test_build_da_profile_fraction_and_clamp():
-    bid = np.full(N_SLOTS, 10.0)
-    frac = build_da_profile(bid, ClearingPolicy(kind="fraction", fraction=0.6))
-    assert np.allclose(frac, 6.0)
-    clamp = np.full(N_SLOTS, 4.0)
-    clamped = build_da_profile(bid, ClearingPolicy(kind="clamp", clamp=clamp))
-    assert np.allclose(clamped, 4.0)
-
-
-def test_clearing_policy_validation():
-    with pytest.raises(ConfigError):
-        ClearingPolicy(kind="auction").validate()
-    with pytest.raises(ConfigError):
-        ClearingPolicy(kind="fraction", fraction=1.2).validate()
-    with pytest.raises(ConfigError):
-        ClearingPolicy(kind="clamp").validate()
-    with pytest.raises(ConfigError):
-        build_da_profile(-np.ones(N_SLOTS))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import fleetdr.coordinator as coordinator
+import fleetdr.report as report
 from fleetdr.coordinator import ConvergenceSpec, DayResult, cap_value
 from fleetdr.errors import ConfigError, DataError
 from fleetdr.fleet import Dist, FleetSpec, N_SLOTS, sample_fleet
@@ -177,6 +179,100 @@ def test_run_cases_cap_binds_case4():
 
 
 # ---------------------------------------------------------------------------
+# one shaping per distinct cap
+
+def count_shapings(monkeypatch):
+    """Record the cap of every ``shape_day_ahead`` call the coordinator
+    makes."""
+    caps = []
+    shape = coordinator.shape_day_ahead
+
+    def counted(state, conv, *, cap=None):
+        caps.append(cap)
+        return shape(state, conv, cap=cap)
+
+    monkeypatch.setattr(coordinator, "shape_day_ahead", counted)
+    return caps
+
+
+def keep_days(monkeypatch):
+    """Keep the ``DayResult`` of every case ``run_cases`` simulates."""
+    days = []
+    simulate_day = report.simulate_day
+
+    def kept(*args, **kwargs):
+        days.append(simulate_day(*args, **kwargs))
+        return days[-1]
+
+    monkeypatch.setattr(report, "simulate_day", kept)
+    return days
+
+
+def test_run_cases_shapes_once_per_distinct_cap(monkeypatch):
+    fleet, hh, market = build_inputs()
+    caps = count_shapings(monkeypatch)
+    run_cases(fleet, hh, market, CaseConfig(kappa=1.5, t0_term_scale=1000.0))
+    assert caps == [None, cap_value(hh, fleet, 1.5)]
+    caps.clear()
+    run_cases(fleet, hh, market, CaseConfig(t0_term_scale=1000.0))
+    assert caps == [None]
+
+
+def test_run_cases_uncapped_cases_share_one_shaping(monkeypatch):
+    fleet, hh, market = build_inputs()
+    days = keep_days(monkeypatch)
+    comp = run_cases(fleet, hh, market,
+                     CaseConfig(kappa=1.5, t0_term_scale=1000.0))
+    assert len(days) == 3
+    c2, c3 = comp.get(2), comp.get(3)
+    assert c2.da_mse_trace == c3.da_mse_trace
+    assert np.array_equal(c2.purchased, c3.purchased)
+    assert days[0].shaped is days[1].shaped
+    assert days[2].shaped is not days[0].shaped
+    assert c3.altered_slots  # the spike moved case 3 off the shared plans
+    assert not np.array_equal(days[0].pev, days[1].pev)
+
+
+def test_run_cases_day_plans_do_not_alias(monkeypatch):
+    fleet, hh, market = build_inputs()
+    days = keep_days(monkeypatch)
+    run_cases(fleet, hh, market, CaseConfig(t0_term_scale=1000.0))
+    assert len(days) == 3
+    before = [day.pev.copy() for day in days]
+    for i, day in enumerate(days):
+        day.pev += 100.0 * (i + 1)
+        for j, other in enumerate(days):
+            if j != i:
+                assert np.array_equal(other.pev, before[j]), \
+                    f"writing case {i + 2}'s plans changed case {j + 2}'s"
+        day.pev[:] = before[i]
+    # the shared shaped plans are read-only, so no walk can write into them
+    with pytest.raises(ValueError):
+        days[0].shaped.pev[0, 0] = 1.0
+
+
+def test_small_v2g_day_reports_running_out_of_sweeps(tmp_path):
+    fleet = small_fleet(n=20, seed=4, v2g=0.5)
+    hh = np.full(N_SLOTS, 30.0)
+    da, rt = synth_prices(MarketSpec(rt_noise_sigma=0.0,
+                                     spike=SpikeSpec(slot=10)), 4)
+    bid = water_fill(hh, sum(p.required_energy for p in fleet))
+    market = MarketDay(da_prices=da, rt_prices=rt, da_profile=bid)
+    conv = ConvergenceSpec(max_sweeps=10, mse_tol=1e-6)
+    comp = run_cases(fleet, hh, market,
+                     CaseConfig(t0_term_scale=1000.0, conv=conv))
+    for case in (2, 3, 4):
+        r = comp.get(case)
+        assert r.sweeps == conv.max_sweeps
+        assert r.da_mse_trace[-1] >= conv.mse_tol
+        assert r.converged is False
+    emit(comp, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [c["converged"] for c in summary["cases"]] == [
+        None, False, False, False]
+
+
+# ---------------------------------------------------------------------------
 # artifact emission
 
 def fake_comparison():
@@ -248,12 +344,14 @@ def test_emit_day_result(tmp_path):
     day = DayResult(pev=np.zeros((3, N_SLOTS)),
                     aggregate=np.full(N_SLOTS, 12.0),
                     da_aggregate=np.full(N_SLOTS, 11.0),
-                    da_mse_trace=[0.4, 1e-8], altered_slots=[10])
+                    da_mse_trace=[0.4, 1e-8], altered_slots=[10],
+                    converged=True)
     written = emit(day, tmp_path)
     names = [p.split("/")[-1] for p in written]
     assert names == ["aggregate.csv", "mse_trace.csv", "summary.json"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["sweeps"] == 2
+    assert summary["converged"] is True
     assert summary["altered_slots"] == [10]
     assert summary["peak_kwh"] == pytest.approx(12.0)
 

@@ -116,15 +116,6 @@ def test_build_validation_errors():
         build_subproblem(prof, np.zeros(24), history=[0.0] * 4)
 
 
-def test_expand_lays_out_history_and_solution():
-    sub = make_sub(history=np.array([0.9, 1.8]), history_slots=[1, 2])
-    full = sub.expand(np.array([0.3, 0.2, 0.1]))
-    assert full.shape == (N_SLOTS,)
-    assert full[0] == 0.9 and full[1] == 1.8
-    assert full[2] == 0.3 and full[3] == 0.2 and full[4] == 0.1
-    assert np.all(full[5:] == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # feasibility checker
 
