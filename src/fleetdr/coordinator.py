@@ -159,6 +159,22 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         plan[free] = sol.x
 
 
+def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec,
+                         **pass_kwargs) -> List[float]:
+    """Best-response passes until one moves plans by less than ``mse_tol``
+    or ``max_sweeps`` run out; returns each pass's MSE against the plans
+    before it."""
+    trace: List[float] = []
+    prev = state.pev.copy()
+    for _ in range(conv.max_sweeps):
+        best_response_pass(state, **pass_kwargs)
+        trace.append(_matrix_mse(state.pev, prev))
+        if trace[-1] < conv.mse_tol:
+            break
+        prev = state.pev.copy()
+    return trace
+
+
 def shape_day_ahead(state: ScheduleState, conv: ConvergenceSpec, *,
                     cap: float | None = None) -> List[float]:
     """Run day-ahead sweeps until plans settle; returns the MSE trace.
@@ -171,15 +187,7 @@ def shape_day_ahead(state: ScheduleState, conv: ConvergenceSpec, *,
         raise InfeasibleError(
             "demand cap lies below firm household demand",
             constraint="demand cap")
-    trace: List[float] = []
-    prev = state.pev.copy()
-    for _ in range(conv.max_sweeps):
-        best_response_pass(state, lam=1.0, cap=cap)
-        trace.append(_matrix_mse(state.pev, prev))
-        if trace[-1] < conv.mse_tol:
-            break
-        prev = state.pev.copy()
-    return trace
+    return _sweep_until_settled(state, conv, lam=1.0, cap=cap)
 
 
 def connected_users(state: ScheduleState, slot: int) -> List[int]:
@@ -248,15 +256,9 @@ def real_time_walk(state: ScheduleState, market: MarketDay,
             users = connected_users(state, t)
             if users:
                 altered.append(t)
-                sign = 1 if rt > da else -1
-                prev = state.pev.copy()
-                for _ in range(conv.max_sweeps):
-                    best_response_pass(
-                        state, lam=lam, t0_sign=sign,
-                        t0_term_scale=t0_term_scale, cap=cap, users=users)
-                    if _matrix_mse(state.pev, prev) < conv.mse_tol:
-                        break
-                    prev = state.pev.copy()
+                _sweep_until_settled(
+                    state, conv, lam=lam, t0_sign=1 if rt > da else -1,
+                    t0_term_scale=t0_term_scale, cap=cap, users=users)
         # slot t is now real
     state.realized_upto = N_SLOTS
     return altered

@@ -36,6 +36,12 @@ def as_profile(values) -> np.ndarray:
     return arr
 
 
+def _finite_number(v) -> bool:
+    """A finite real that is not a bool (YAML reads ``yes`` as True)."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and math.isfinite(v))
+
+
 def hour_to_slot(hour: float, day_start_hour: int = 0) -> int:
     """Map a wall-clock hour (0 <= hour < 24 accepted modulo 24) to a slot index.
 
@@ -79,6 +85,11 @@ class PevProfile:
             if not 1 <= v <= N_SLOTS:
                 raise ConfigError(f"{name} must be in 1..{N_SLOTS}, got {v} "
                                   f"(user {self.user_id})")
+        # one sum is non-finite exactly when a term is (or it overflows)
+        if not math.isfinite(self.required_energy + self.capacity
+                             + self.initial_soc + self.rate):
+            raise ConfigError(f"required_energy, capacity, initial_soc and "
+                              f"rate must be finite (user {self.user_id})")
         if self.capacity <= 0:
             raise ConfigError(f"capacity must be positive (user {self.user_id})")
         if self.rate <= 0:
@@ -172,10 +183,20 @@ class Dist:
                 "uniform": ("lo", "hi"),
                 "point": ("value",),
                 "choice": ("values", "probs")}[self.family]
+        unknown = set(p) - set(need)
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+        many = self.family == "choice"
         for key in need:
             if key not in p:
                 raise ConfigError(f"{name}: family {self.family!r} needs "
                                   f"parameter {key!r}")
+            v = p[key]
+            if not (isinstance(v, (list, tuple)) and all(map(_finite_number, v))
+                    if many else _finite_number(v)):
+                raise ConfigError(f"{name}.{key}: expected a finite "
+                                  f"{'number list' if many else 'number'}, "
+                                  f"got {v!r}")
         if self.family == "truncnorm":
             if p["std"] <= 0:
                 raise ConfigError(f"{name}: std must be positive")
@@ -188,8 +209,9 @@ class Dist:
                 raise ConfigError(f"{name}: values/probs must be same nonzero length")
             if abs(sum(p["probs"]) - 1.0) > 1e-9:
                 raise ConfigError(f"{name}: probs must sum to 1")
-        if self.round_to is not None and self.round_to <= 0:
-            raise ConfigError(f"{name}: round_to must be positive")
+        if self.round_to is not None and not (_finite_number(self.round_to)
+                                              and self.round_to > 0):
+            raise ConfigError(f"{name}: round_to must be a positive number")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p = self.params
@@ -213,10 +235,9 @@ class Dist:
         return out
 
 
-def _dist_from_config(obj, name: str) -> "Dist":
-    if isinstance(obj, Dist):
-        obj.validate(name)
-        return obj
+def _dist_from_config(obj, name: str) -> Dist:
+    """Read a ``Dist`` from its YAML mapping: ``family``, the family's
+    parameters and an optional ``round_to``, all at one level."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"{name}: expected a distribution mapping with a "
                           f"'family' key")
@@ -224,6 +245,14 @@ def _dist_from_config(obj, name: str) -> "Dist":
     d = Dist(family=obj["family"], params=params, round_to=obj.get("round_to"))
     d.validate(name)
     return d
+
+
+def _dist_to_dict(d: Dist) -> dict:
+    """The YAML mapping that :func:`_dist_from_config` reads back as ``d``."""
+    out = {"family": d.family, **d.params}
+    if d.round_to is not None:
+        out["round_to"] = d.round_to
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ consumption from that profile settles at real-time prices, symmetrically
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,91 +200,74 @@ def water_fill(household_agg, energy: float, mask=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV ingest/export
 
-def load_prices(path, kind: str) -> PriceSeries:
-    """Read a 24-row ``slot,price_per_mwh`` CSV into $/kWh.
+def _read_slot_csv(path, header) -> np.ndarray:
+    """Read a 24-row ``slot,value`` CSV into its values in slot order.
 
     Validates the header, slot coverage (each of 1..24 exactly once) and
-    price signs; errors name the offending rows.
+    that every value is a finite number >= 0; errors name the path and the
+    offending row.
     """
     seen: dict[int, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            head = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty price file") from None
-        if header != PRICE_CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}; expected "
-                            f"{PRICE_CSV_HEADER!r}")
+            raise DataError(f"{path}: empty file") from None
+        if head != header:
+            raise DataError(f"{path}: bad header {head!r}; expected "
+                            f"{header!r}")
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise DataError(f"{path}: row {row_no}: expected 2 fields")
+                raise DataError(f"{path}: row {row_no}: expected 2 fields, "
+                                f"got {len(row)}")
             try:
                 slot = int(row[0])
-                price = float(row[1])
+                value = float(row[1])
             except ValueError:
                 raise DataError(f"{path}: row {row_no}: non-numeric value") from None
             if not 1 <= slot <= N_SLOTS:
                 raise DataError(f"{path}: row {row_no}: slot {slot} out of 1..{N_SLOTS}")
             if slot in seen:
                 raise DataError(f"{path}: row {row_no}: duplicate slot {slot}")
-            if price < 0:
-                raise DataError(f"{path}: row {row_no}: negative price {price}")
-            seen[slot] = price
-    missing = sorted(set(range(1, N_SLOTS + 1)) - set(seen))
-    if missing:
-        raise DataError(f"{path}: missing slots {missing}")
-    values = np.array([seen[s] for s in range(1, N_SLOTS + 1)]) / 1000.0
-    return PriceSeries(values, kind=kind)
-
-
-def save_prices(series: PriceSeries, path) -> None:
-    """Write a price series back to the $/MWh CSV format."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRICE_CSV_HEADER)
-        for s in range(1, N_SLOTS + 1):
-            writer.writerow([s, f"{series.values[s - 1] * 1000.0:.6f}"])
-
-
-def load_profile_csv(path) -> np.ndarray:
-    """Read a 24-row ``slot,kwh`` CSV into a load profile."""
-    seen: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty profile file") from None
-        if header != PROFILE_CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}; expected "
-                            f"{PROFILE_CSV_HEADER!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                slot = int(row[0])
-                kwh = float(row[1])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: row {row_no}: malformed row") from None
-            if not 1 <= slot <= N_SLOTS or slot in seen:
-                raise DataError(f"{path}: row {row_no}: bad or duplicate slot {slot}")
-            seen[slot] = kwh
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"{path}: row {row_no}: {header[1]} must be "
+                                f"finite and >= 0, got {row[1]}")
+            seen[slot] = value
     missing = sorted(set(range(1, N_SLOTS + 1)) - set(seen))
     if missing:
         raise DataError(f"{path}: missing slots {missing}")
     return np.array([seen[s] for s in range(1, N_SLOTS + 1)])
 
 
-def save_profile_csv(profile, path) -> None:
-    profile = as_profile(profile)
+def _write_slot_csv(path, header, values) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PROFILE_CSV_HEADER)
+        writer.writerow(header)
         for s in range(1, N_SLOTS + 1):
-            writer.writerow([s, f"{profile[s - 1]:.6f}"])
+            writer.writerow([s, f"{values[s - 1]:.6f}"])
+
+
+def load_prices(path, kind: str) -> PriceSeries:
+    """Read a 24-row ``slot,price_per_mwh`` CSV into $/kWh."""
+    return PriceSeries(_read_slot_csv(path, PRICE_CSV_HEADER) / 1000.0,
+                       kind=kind)
+
+
+def save_prices(series: PriceSeries, path) -> None:
+    """Write a price series back to the $/MWh CSV format."""
+    _write_slot_csv(path, PRICE_CSV_HEADER, series.values * 1000.0)
+
+
+def load_profile_csv(path) -> np.ndarray:
+    """Read a 24-row ``slot,kwh`` CSV into a load profile."""
+    return _read_slot_csv(path, PROFILE_CSV_HEADER)
+
+
+def save_profile_csv(profile, path) -> None:
+    _write_slot_csv(path, PROFILE_CSV_HEADER, as_profile(profile))
 
 
 def load_market_day(directory) -> MarketDay:

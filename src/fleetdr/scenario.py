@@ -8,9 +8,12 @@ seed reproduces every artifact bit-for-bit.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 from typing import List
 
 import numpy as np
@@ -19,8 +22,8 @@ import yaml
 from .coordinator import ConvergenceSpec
 from .errors import ConfigError
 from .fleet import (Dist, FleetSpec, HouseholdSpec, N_SLOTS, PevProfile,
-                    _dist_from_config, as_profile, baseline_household,
-                    sample_fleet)
+                    _dist_from_config, _dist_to_dict, _finite_number,
+                    as_profile, baseline_household, sample_fleet)
 from .market import MarketDay, MarketSpec, SpikeSpec, load_market_day, \
     synth_prices, water_fill
 from .report import CaseConfig
@@ -69,7 +72,7 @@ class ScenarioConfig:
 
     seed: int
     fleet: FleetSpec
-    households: HouseholdSpec
+    households: HouseholdSpec = field(default_factory=HouseholdSpec)
     market_synth: MarketSpec | None = None
     market_files: str | None = None
     purchase: PurchaseSpec = field(default_factory=PurchaseSpec)
@@ -96,6 +99,30 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # YAML round-trip
 
+# Each spec dataclass is the schema of its YAML section: its init fields
+# are the allowed keys, a field without a default is a required key, and
+# the field's annotation is the type its value must have. The top level
+# adds only its layout: ``market`` holds three ScenarioConfig fields under
+# other names, and ``run`` is CaseConfig with ConvergenceSpec flattened in.
+_MARKET_KEYS = {"synthetic": "market_synth", "files": "market_files",
+                "purchase": "purchase"}
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """``cls``'s init fields as {name: (type, optional, required)}, where
+    ``optional`` says the annotation is ``type | None``."""
+    hints, out = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        if f.init:
+            tp = hints[f.name]
+            args = typing.get_args(tp)
+            out[f.name] = (args[0] if type(None) in args else tp,
+                           type(None) in args,
+                           f.default is MISSING and f.default_factory is MISSING)
+    return out
+
+
 def _expect_mapping(obj, where: str) -> dict:
     if obj is None:
         return {}
@@ -104,142 +131,83 @@ def _expect_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _take(obj: dict, where: str, allowed: set) -> None:
-    unknown = set(obj) - allowed
+def _section(fields: dict, obj, where: str) -> dict:
+    """Type-checked keyword arguments from the YAML mapping at ``where``."""
+    obj = _expect_mapping(obj, where)
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    prefix = "" if where == "config" else f"{where}."
+    for name, (_, _, required) in fields.items():
+        if required and name not in obj:
+            raise ConfigError(f"{prefix}{name} is required")
+    return {k: _value(*fields[k][:2], v, prefix + k) for k, v in obj.items()}
 
 
-def _dist_to_dict(d: Dist) -> dict:
-    out = {"family": d.family, **d.params}
-    if d.round_to is not None:
-        out["round_to"] = d.round_to
-    return out
+def _value(tp, optional: bool, v, path: str):
+    """``v`` checked against the field type ``tp``; a spec section comes
+    back built."""
+    if v is None and optional:
+        return None
+    if tp is Dist:
+        return _dist_from_config(v, path)
+    if tp is dict:
+        return _expect_mapping(v, path)
+    if dataclasses.is_dataclass(tp):
+        return tp(**_section(_fields(tp), v, path))
+    if not (_finite_number(v) if tp is float
+            else isinstance(v, tp) and not isinstance(v, bool)):
+        raise ConfigError(f"{path}: expected "
+                          f"{'a finite number' if tp is float else tp.__name__}"
+                          f", got {v!r}")
+    return v
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    raw = _expect_mapping(raw, "config")
-    _take(raw, "config", {"seed", "out_dir", "fleet", "households", "market",
-                          "run"})
-    if "seed" not in raw:
-        raise ConfigError("config: 'seed' is required")
-
-    f = _expect_mapping(raw.get("fleet"), "fleet")
-    _take(f, "fleet", {"n_users", "capacity_kwh", "rate_kw", "v2g_fraction",
-                       "day_start_hour", "arrival", "departure",
-                       "charging_time", "initial_soc", "energy_grid"})
-    if "n_users" not in f:
-        raise ConfigError("fleet.n_users is required")
-    fleet_kwargs = {k: f[k] for k in ("n_users", "capacity_kwh", "rate_kw",
-                                      "v2g_fraction", "day_start_hour",
-                                      "energy_grid") if k in f}
-    for key in ("arrival", "departure", "charging_time", "initial_soc"):
-        if key in f:
-            fleet_kwargs[key] = _dist_from_config(f[key], f"fleet.{key}")
-    fleet = FleetSpec(**fleet_kwargs)
-
-    h = _expect_mapping(raw.get("households"), "households")
-    _take(h, "households", {"mean_daily_kwh", "valley", "evening_peak",
-                            "evening_slot", "evening_width", "morning_peak",
-                            "morning_slot", "morning_width", "noise_sigma"})
-    households = HouseholdSpec(**h)
-
-    m = _expect_mapping(raw.get("market"), "market")
-    _take(m, "market", {"synthetic", "files", "purchase"})
-    synth = None
-    if m.get("synthetic") is not None:
-        s = _expect_mapping(m["synthetic"], "market.synthetic")
-        _take(s, "market.synthetic", {"base_level_mwh", "amplitude",
-                                      "peak_slot", "rt_noise_sigma", "spike"})
-        spike = None
-        if s.get("spike") is not None:
-            sp = _expect_mapping(s["spike"], "market.synthetic.spike")
-            _take(sp, "market.synthetic.spike", {"slot", "multiplier"})
-            if "slot" not in sp:
-                raise ConfigError("market.synthetic.spike.slot is required")
-            spike = SpikeSpec(**sp)
-        synth = MarketSpec(**{k: s[k] for k in s if k != "spike"}, spike=spike)
-
-    p = _expect_mapping(m.get("purchase"), "market.purchase")
-    _take(p, "market.purchase", {"coverage", "pad_kwh", "block_kwh",
-                                 "block_slot"})
-    purchase = PurchaseSpec(**p)
-
-    r = _expect_mapping(raw.get("run"), "run")
-    _take(r, "run", {"kappa", "lam_rt", "trigger", "t0_term_scale",
-                     "max_sweeps", "mse_tol"})
-    conv_kwargs = {k: r[k] for k in ("max_sweeps", "mse_tol") if k in r}
-    case_kwargs = {k: r[k] for k in ("kappa", "lam_rt", "trigger",
-                                     "t0_term_scale") if k in r}
-    case = CaseConfig(conv=ConvergenceSpec(**conv_kwargs), **case_kwargs)
-
-    cfg = ScenarioConfig(seed=raw["seed"], fleet=fleet, households=households,
-                         market_synth=synth, market_files=m.get("files"),
-                         purchase=purchase, case=case,
-                         out_dir=raw.get("out_dir"))
+    top = _fields(ScenarioConfig)
+    laid_out = (dict, False, False)  # a mapping unpacked below
+    kwargs = _section({"seed": top["seed"], "out_dir": top["out_dir"],
+                       "fleet": top["fleet"], "households": top["households"],
+                       "market": laid_out, "run": laid_out}, raw, "config")
+    market = _section({k: top[f] for k, f in _MARKET_KEYS.items()},
+                      kwargs.pop("market", None), "market")
+    kwargs.update({_MARKET_KEYS[k]: v for k, v in market.items()})
+    conv = _fields(ConvergenceSpec)
+    case = {k: t for k, t in _fields(CaseConfig).items() if k != "conv"}
+    run = _section({**case, **conv}, kwargs.pop("run", None), "run")
+    kwargs["case"] = CaseConfig(
+        conv=ConvergenceSpec(**{k: run.pop(k) for k in conv if k in run}),
+        **run)
+    cfg = ScenarioConfig(**kwargs)
     cfg.validate()
     return cfg
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    market: dict = {}
-    if cfg.market_synth is not None:
-        s = cfg.market_synth
-        market["synthetic"] = {
-            "base_level_mwh": s.base_level_mwh,
-            "amplitude": s.amplitude,
-            "peak_slot": s.peak_slot,
-            "rt_noise_sigma": s.rt_noise_sigma,
-        }
-        if s.spike is not None:
-            market["synthetic"]["spike"] = {"slot": s.spike.slot,
-                                            "multiplier": s.spike.multiplier}
-    if cfg.market_files is not None:
-        market["files"] = cfg.market_files
-    market["purchase"] = {
-        "coverage": cfg.purchase.coverage,
-        "pad_kwh": cfg.purchase.pad_kwh,
-        "block_kwh": cfg.purchase.block_kwh,
-        "block_slot": cfg.purchase.block_slot,
-    }
-    out = {
-        "seed": cfg.seed,
-        "fleet": {
-            "n_users": cfg.fleet.n_users,
-            "capacity_kwh": cfg.fleet.capacity_kwh,
-            "rate_kw": cfg.fleet.rate_kw,
-            "v2g_fraction": cfg.fleet.v2g_fraction,
-            "day_start_hour": cfg.fleet.day_start_hour,
-            "arrival": _dist_to_dict(cfg.fleet.arrival),
-            "departure": _dist_to_dict(cfg.fleet.departure),
-            "charging_time": _dist_to_dict(cfg.fleet.charging_time),
-            "initial_soc": _dist_to_dict(cfg.fleet.initial_soc),
-            "energy_grid": cfg.fleet.energy_grid,
-        },
-        "households": {
-            "mean_daily_kwh": cfg.households.mean_daily_kwh,
-            "valley": cfg.households.valley,
-            "evening_peak": cfg.households.evening_peak,
-            "evening_slot": cfg.households.evening_slot,
-            "evening_width": cfg.households.evening_width,
-            "morning_peak": cfg.households.morning_peak,
-            "morning_slot": cfg.households.morning_slot,
-            "morning_width": cfg.households.morning_width,
-            "noise_sigma": cfg.households.noise_sigma,
-        },
-        "market": market,
-        "run": {
-            "kappa": cfg.case.kappa,
-            "lam_rt": cfg.case.lam_rt,
-            "trigger": cfg.case.trigger,
-            "t0_term_scale": cfg.case.t0_term_scale,
-            "max_sweeps": cfg.case.conv.max_sweeps,
-            "mse_tol": cfg.case.conv.mse_tol,
-        },
-    }
-    if cfg.out_dir is not None:
-        out["out_dir"] = cfg.out_dir
+def _dump(spec) -> dict:
+    """``spec`` as the YAML mapping :func:`_section` reads it from. A
+    missing sub-section (None where a spec dataclass may stand) is left
+    out; any other None is written."""
+    out = {}
+    for name, (tp, optional, _) in _fields(type(spec)).items():
+        v = getattr(spec, name)
+        if isinstance(v, Dist):
+            v = _dist_to_dict(v)
+        elif dataclasses.is_dataclass(v):
+            v = _dump(v)
+        elif v is None and optional and dataclasses.is_dataclass(tp):
+            continue
+        out[name] = v
     return out
+
+
+def config_to_dict(cfg: ScenarioConfig) -> dict:
+    out = _dump(cfg)
+    market = {k: v for k, f in _MARKET_KEYS.items()
+              if (v := out.pop(f, None)) is not None}
+    run = out.pop("case")
+    run.update(run.pop("conv"))
+    out.update(market=market, run=run)
+    return {k: v for k, v in out.items() if v is not None}
 
 
 def config_digest(cfg: ScenarioConfig) -> str:

@@ -87,7 +87,9 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
 
     ``slot_cap``, if given, is a 24-slot ceiling on this vehicle's own
     charge rate (typically the head-room a fleet-wide demand cap leaves
-    after everyone else's plans); it tightens the upper bounds.
+    after everyone else's plans); it tightens the upper bounds. When the
+    tightened bounds fall short of an energy target the vehicle's own box
+    reaches, the cap is named as the binding constraint.
     """
     signal = as_profile(signal)
     if not 0 <= lam <= 1:
@@ -116,6 +118,12 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
                 "demand cap leaves no room at a connected slot",
                 user_id=profile.user_id, constraint="demand cap")
         up = np.maximum(up, lo)
+        reachable = sum(up.tolist())  # cheaper than up.sum() at this size
+        if reachable < target - FEAS_TOL <= profile.rate * k:
+            raise InfeasibleError(
+                f"{target:.3f} kWh owed but the cap's head-room leaves "
+                f"{reachable:.3f} kWh reachable", user_id=profile.user_id,
+                constraint="demand cap")
     coeff = lam * signal[free]
     if k and lam < 1.0 and t0_sign:
         coeff[0] += (1.0 - lam) * t0_term_scale * float(np.sign(t0_sign))

@@ -199,6 +199,26 @@ def test_unknown_config_key_exits_config(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, key, value, where", [
+    ("fleet", "n_users", 2.5, "fleet.n_users"),
+    ("households", "valley", "abc", "households.valley"),
+    ("run", "max_sweeps", 2.5, "run.max_sweeps"),
+    ("run", "kappa", "1.5", "run.kappa"),
+    ("market", "files", 123, "market.files"),
+    ("fleet", "arrival", {"family": "point", "value": "19"},
+     "fleet.arrival.value"),
+])
+def test_mistyped_config_value_exits_config(tmp_path, capsys, section, key,
+                                            value, where):
+    cfg = write_config(tmp_path / "cfg.yaml")
+    raw = yaml.safe_load(open(cfg))
+    raw[section][key] = value
+    yaml.safe_dump(raw, open(cfg, "w"))
+    assert main(["gen-fleet", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"{where}: expected" in capsys.readouterr().err
+
+
 def test_negative_seed_exits_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml")
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),

@@ -186,6 +186,21 @@ def test_shaping_rejects_cap_below_households():
         shape_day_ahead(state, ConvergenceSpec(), cap=4.0)
 
 
+def test_reference_day_cap_blocked_vehicle_names_the_cap(reference_scenario,
+                                                        reference_config):
+    # at kappa 1.45 the first sweep leaves user 965 too little head-room;
+    # the verdict itself is not proven (ROADMAP item 1), only its label
+    sc = reference_scenario
+    state = ScheduleState(fleet=list(sc.fleet),
+                          household_total=sc.household_total,
+                          da_profile=sc.market.da_profile)
+    cap = cap_value(sc.household_total, sc.fleet, kappa=1.45)
+    with pytest.raises(InfeasibleError) as err:
+        shape_day_ahead(state, reference_config.case.conv, cap=cap)
+    assert err.value.constraint == "demand cap"
+    assert err.value.user_id == 965
+
+
 def test_shaping_small_fleet_tracks_waterfilled_bid():
     fleet = small_fleet()
     hh = np.full(N_SLOTS, 3.0)

@@ -98,6 +98,9 @@ def test_validate_accepts_sane_profile():
     dict(required_energy=-1.0),
     dict(required_energy=20.0),          # exceeds battery headroom
     dict(required_energy=10.0, arrival_slot=10, departure_slot=12),  # > window
+    dict(required_energy=float("nan")),
+    dict(rate=float("inf")),
+    dict(capacity=float("inf")),
 ])
 def test_validate_rejects(kw):
     with pytest.raises(ConfigError):
@@ -133,6 +136,22 @@ def test_dist_validate_errors():
         Dist("choice", {"values": [1, 2], "probs": [0.6, 0.6]}).validate()
     with pytest.raises(ConfigError):
         Dist("point", {"value": 1.0}, round_to=0.0).validate()
+    with pytest.raises(ConfigError, match="arrival.mean"):
+        Dist("truncnorm", {"mean": "19", "std": 1, "lo": 0, "hi": 1}
+             ).validate("arrival")
+    with pytest.raises(ConfigError, match="std"):
+        Dist("truncnorm", {"mean": 0, "std": float("nan"), "lo": 0, "hi": 1}
+             ).validate()
+    with pytest.raises(ConfigError, match="values"):
+        Dist("choice", {"values": [1, "2"], "probs": [0.5, 0.5]}).validate()
+    with pytest.raises(ConfigError, match="probs"):
+        Dist("choice", {"values": [1, 2], "probs": 1.0}).validate()
+    with pytest.raises(ConfigError, match="value"):
+        Dist("point", {"value": True}).validate()
+    with pytest.raises(ConfigError, match="unknown keys"):
+        Dist("uniform", {"lo": 0, "hi": 1, "mean": 0.5}).validate()
+    with pytest.raises(ConfigError, match="round_to"):
+        Dist("point", {"value": 1.0}, round_to="1").validate()
 
 
 def test_dist_sampling_is_deterministic():
@@ -362,10 +381,13 @@ def test_fleet_csv_rejects_bad_value_with_row_number(tmp_path):
     path = tmp_path / "fleet.csv"
     write_fleet_csv(fleet, path)
     lines = path.read_text().splitlines()
-    lines[2] = lines[2].replace(lines[2].split(",")[3], "not-a-number", 1)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match="row 3"):
-        read_fleet_csv(path)
+    for column, value in ((3, "not-a-number"), (3, "nan"), (6, "inf")):
+        row = lines[2].split(",")
+        row[column] = value
+        path.write_text("\n".join([*lines[:2], ",".join(row), *lines[3:]])
+                        + "\n")
+        with pytest.raises(DataError, match="row 3"):
+            read_fleet_csv(path)
 
 
 def test_fleet_csv_rejects_duplicate_ids(tmp_path):

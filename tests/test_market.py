@@ -223,6 +223,17 @@ def test_price_csv_errors(tmp_path):
     path.write_text(bad)
     with pytest.raises(DataError, match="row 8"):
         load_prices(path, kind="da")
+    # the price and the profile file share one reader, which names the path
+    # and the row of an extra field, a non-finite or a negative value
+    for header, load in (("slot,price_per_mwh",
+                          lambda p: load_prices(p, kind="da")),
+                         ("slot,kwh", load_profile_csv)):
+        for row in ("7,1.0,999", "7,nan", "7,inf", "7,-1.0"):
+            rows = [f"{s},33.0" for s in range(1, 25)]
+            rows[6] = row
+            path.write_text("\n".join([header, *rows]) + "\n")
+            with pytest.raises(DataError, match=f"{path}: row 8"):
+                load(path)
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -97,6 +97,17 @@ def test_reference_config_round_trips():
     assert again.case == cfg.case
 
 
+@pytest.mark.parametrize("path, digest", [
+    (REFERENCE_YAML,
+     "9af99de601b49f53ecc6945abd462f75aa0f3fccba46c08787f1b7b5813150df"),
+    (FLAT_DAY_YAML,
+     "61f933a7eee94fd7437def52e5641331299f15c03f224704cf6b8cb7ffc7ef85"),
+])
+def test_config_digest_is_pinned(path, digest):
+    # summary.json carries this digest, so it must not drift with the code
+    assert config_digest(load_config(path)) == digest
+
+
 def test_save_load_round_trip(tmp_path):
     cfg = load_config(FLAT_DAY_YAML)
     path = tmp_path / "copy.yaml"
@@ -134,6 +145,16 @@ def test_minimal_config_uses_defaults():
     assert cfg.market_synth is not None
     assert cfg.purchase.coverage == pytest.approx(0.95)
     assert cfg.case.kappa is None
+
+
+def test_config_to_dict_leaves_absent_sections_out():
+    # the digest of a config without out_dir, files or spike depends on it
+    raw = config_to_dict(config_from_dict(minimal_raw()))
+    assert set(raw) == {"seed", "fleet", "households", "market", "run"}
+    assert set(raw["market"]) == {"synthetic", "purchase"}
+    assert "spike" not in raw["market"]["synthetic"]
+    assert raw["run"]["kappa"] is None  # a None value is still written
+    assert config_from_dict(raw) == config_from_dict(minimal_raw())
 
 
 def test_config_unknown_keys_are_named():

@@ -108,6 +108,21 @@ def test_build_slot_cap_without_room_raises():
     assert err.value.user_id == 1
 
 
+def test_build_slot_cap_short_of_target_names_the_cap():
+    prof = make_profile(arrival_slot=2, departure_slot=4, required_energy=5.4)
+    cap = np.full(24, 10.0)
+    cap[2] = 1.0  # the uncapped box reaches 5.4 kWh; the capped one 4.6
+    with pytest.raises(InfeasibleError, match="5.400 kWh owed.* 4.600") as err:
+        build_subproblem(prof, np.zeros(24), slot_cap=cap)
+    assert (err.value.user_id, err.value.constraint) == (1, "demand cap")
+    # a target the vehicle could not reach without the cap either is the
+    # energy balance's verdict, not the cap's
+    sub = build_subproblem(prof, np.zeros(24), history=[0.0], slot_cap=cap)
+    with pytest.raises(InfeasibleError) as err:
+        solve(sub)
+    assert err.value.constraint == "energy balance"
+
+
 def test_build_validation_errors():
     prof = make_profile(arrival_slot=2, departure_slot=4, required_energy=1.8)
     with pytest.raises(ConfigError):
