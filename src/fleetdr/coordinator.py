@@ -55,8 +55,6 @@ class ScheduleState:
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
-    # 0-based day slots of each user's window, in causal order
-    windows: List[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.household_total = as_profile(self.household_total)
@@ -70,19 +68,14 @@ class ScheduleState:
                 f"pev matrix shape {self.pev.shape} does not match "
                 f"{len(self.fleet)} users x {N_SLOTS} slots")
         for prof in self.fleet:
-            if prof.is_wrapped():
-                raise ConfigError(
-                    f"user {prof.user_id}: charging window wraps past the "
-                    "end of the scheduling day; shift day_start_hour so "
-                    "every window fits inside one day")
-        self.windows = [np.arange(p.arrival_slot - 1, p.departure_slot)
-                        for p in self.fleet]
+            if prof.departure_slot < prof.arrival_slot:
+                prof.validate()  # raises the wrapped-window error
         if given:
             # passes only ever write window slots, so a plan must start
             # with nothing outside its window
             outside = self.pev.copy()
-            for row, win in zip(outside, self.windows):
-                row[win] = 0.0
+            for row, prof in zip(outside, self.fleet):
+                row[prof.window] = 0.0
             if outside.any():
                 idx = int(np.flatnonzero(outside.any(axis=1))[0])
                 raise ConfigError(
@@ -94,9 +87,11 @@ class ScheduleState:
         return self.household_total + self.pev.sum(axis=0)
 
     def history_for(self, idx: int) -> np.ndarray:
-        """User ``idx``'s plan on its window slots that are already real."""
-        win = self.windows[idx]
-        return self.pev[idx, win[:max(0, self.realized_upto - win[0])]]
+        """User ``idx``'s plan on its window slots that are already real
+        (a view of ``pev``)."""
+        prof = self.fleet[idx]
+        done = max(0, self.realized_upto - prof.arrival_slot + 1)
+        return self.pev[idx, prof.window][:done]
 
 
 def _matrix_mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -154,7 +149,9 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
             state.fleet[idx], signal, lam=lam, history=history,
             t0_sign=t0_sign, t0_term_scale=t0_term_scale, slot_cap=room)
         sol = solve(sub)
-        free = state.windows[idx][len(history):]
+        # the free slots are the tail of the window, ending at departure
+        end = state.fleet[idx].departure_slot
+        free = slice(end - sol.x.size, end)
         agg_pev[free] += sol.x - plan[free]
         plan[free] = sol.x
 
@@ -194,8 +191,8 @@ def connected_users(state: ScheduleState, slot: int) -> List[int]:
     """Fleet rows plugged in at ``slot`` with that slot still unfrozen."""
     if slot <= state.realized_upto:
         return []
-    return [idx for idx, win in enumerate(state.windows)
-            if win[0] < slot <= win[-1] + 1]
+    return [idx for idx, prof in enumerate(state.fleet)
+            if prof.arrival_slot <= slot <= prof.departure_slot]
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,9 +58,8 @@ class PevProfile:
     Attributes:
         user_id: positive integer label, unique within a fleet.
         arrival_slot: first connected slot (1..24).
-        departure_slot: last connected slot (1..24). A window with
-            ``departure_slot < arrival_slot`` wraps across the end of the
-            scheduling day.
+        departure_slot: last connected slot (arrival_slot..24): a window is
+            contiguous and never wraps past the end of the scheduling day.
         required_energy: net energy to deliver over the window, kWh.
         capacity: battery capacity, kWh.
         initial_soc: state of charge at arrival, kWh.
@@ -85,6 +84,11 @@ class PevProfile:
             if not 1 <= v <= N_SLOTS:
                 raise ConfigError(f"{name} must be in 1..{N_SLOTS}, got {v} "
                                   f"(user {self.user_id})")
+        if self.departure_slot < self.arrival_slot:
+            raise ConfigError(
+                f"user {self.user_id}: charging window wraps past the end of "
+                "the scheduling day; shift day_start_hour so every window "
+                "fits inside one day")
         # one sum is non-finite exactly when a term is (or it overflows)
         if not math.isfinite(self.required_energy + self.capacity
                              + self.initial_soc + self.rate):
@@ -108,28 +112,24 @@ class PevProfile:
                               f"exceeds window capacity {max_window:.3f} kWh "
                               f"(user {self.user_id})")
 
+    @property
+    def window(self) -> slice:
+        """The connected slots as a slice of a (24,) profile."""
+        return slice(self.arrival_slot - 1, self.departure_slot)
+
     def window_length(self) -> int:
         """Number of connected slots."""
-        if self.departure_slot >= self.arrival_slot:
-            return self.departure_slot - self.arrival_slot + 1
-        return N_SLOTS - self.arrival_slot + 1 + self.departure_slot
+        return self.departure_slot - self.arrival_slot + 1
 
     def window_slots(self) -> List[int]:
         """Connected slots in causal order (arrival first), 1-based."""
-        if self.departure_slot >= self.arrival_slot:
-            return list(range(self.arrival_slot, self.departure_slot + 1))
-        return (list(range(self.arrival_slot, N_SLOTS + 1))
-                + list(range(1, self.departure_slot + 1)))
+        return list(range(self.arrival_slot, self.departure_slot + 1))
 
     def window_mask(self) -> np.ndarray:
         """Boolean (24,) mask of connected slots."""
         mask = np.zeros(N_SLOTS, dtype=bool)
-        for s in self.window_slots():
-            mask[s - 1] = True
+        mask[self.window] = True
         return mask
-
-    def is_wrapped(self) -> bool:
-        return self.departure_slot < self.arrival_slot
 
 
 def required_energy(rate: float, charging_hours: float) -> float:
@@ -153,6 +153,9 @@ def required_energy(rate: float, charging_hours: float) -> float:
 # distributions
 
 _DIST_FAMILIES = ("truncnorm", "uniform", "point", "choice")
+
+# least share of its normal's mass a truncnorm's [lo, hi] must hold
+MIN_TRUNCNORM_MASS = 1e-3
 
 
 @dataclass
@@ -202,6 +205,14 @@ class Dist:
                 raise ConfigError(f"{name}: std must be positive")
             if p["lo"] >= p["hi"]:
                 raise ConfigError(f"{name}: need lo < hi")
+            z_lo, z_hi = ((p[k] - p["mean"]) / (p["std"] * math.sqrt(2))
+                          for k in ("lo", "hi"))
+            mass = 0.5 * (math.erfc(-z_hi) - math.erfc(-z_lo))
+            if mass < MIN_TRUNCNORM_MASS:
+                raise ConfigError(
+                    f"{name}: [lo, hi] holds less than "
+                    f"{MIN_TRUNCNORM_MASS:g} of the normal's mass; move it "
+                    "toward the mean or widen std")
         if self.family == "uniform" and p["lo"] > p["hi"]:
             raise ConfigError(f"{name}: need lo <= hi")
         if self.family == "choice":
@@ -222,7 +233,8 @@ class Dist:
         elif self.family == "choice":
             out = rng.choice(np.asarray(p["values"], dtype=float), size=size,
                              p=np.asarray(p["probs"], dtype=float))
-        else:  # truncnorm by rejection; bounds are a few sigma wide in practice
+        else:  # truncnorm by rejection: at most 1 / MIN_TRUNCNORM_MASS
+            # expected draws per sample, since validate checks the mass
             out = np.empty(size)
             remaining = np.arange(size)
             while remaining.size:
@@ -323,7 +335,7 @@ def sample_fleet(spec: FleetSpec, seed: int) -> List[PevProfile]:
     Deterministic: the same spec and seed reproduce the identical fleet.
     Windows are emitted on the re-indexed scheduling axis; with the default
     distributions (evening arrivals, morning departures, noon day start)
-    every window is contiguous.
+    every window fits inside the day; one that wraps raises ConfigError.
     """
     spec.validate()
     rng = np.random.default_rng(seed)

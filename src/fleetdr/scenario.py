@@ -252,8 +252,7 @@ def connection_counts(fleet: List[PevProfile]) -> np.ndarray:
     """Number of vehicles plugged in at each slot, shape (24,)."""
     counts = np.zeros(N_SLOTS)
     for prof in fleet:
-        for s in prof.window_slots():
-            counts[s - 1] += 1
+        counts[prof.window] += 1
     return counts
 
 

@@ -2,14 +2,16 @@
 
 Each best-response step of the coordination loop asks one vehicle to replan
 its charging over the slots it can still influence: minimise a linear
-congestion signal over its feasible charge/discharge set. The feasible set
-is a box (per-slot power limits), an equality (remaining energy must be
-delivered by departure), and a running state-of-charge band (the battery
-never drains below its reserve nor fills past its capacity).
+congestion signal over its feasible charge/discharge set. Those slots are
+the tail of the vehicle's window, one contiguous run of day slots ending at
+departure. The feasible set is a box (per-slot power limits), an equality
+(remaining energy must be delivered by departure), and a running
+state-of-charge band (the battery never drains below its reserve nor fills
+past its capacity).
 
-Three ways to solve the same object:
+One solver, two independent oracles for the same object:
 
-* :func:`solve` -- production path: a greedy fill that is provably optimal
+* :func:`solve` -- the solver: a greedy fill that is provably optimal
   whenever the state-of-charge band does not bind, and an exact dynamic
   program over the running sum (a min-cost flow along the slot chain) when
   it does.
@@ -23,17 +25,22 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InfeasibleError
 from .fleet import PevProfile, as_profile
-from .simplex import solve_lp  # noqa: F401  perfbench traces this name
 
 FEAS_TOL = 1e-7
 SOC_FLOOR_FRACTION = 0.2
+
+
+def solve_lp(*args, **kwargs):
+    """Never called. ``perfbench/tracing.py`` still wraps this name for its
+    ``simplex.solve_lp`` span, which is the only reason it exists."""
+    raise NotImplementedError("solve() is the vehicle LP solver")
 
 
 @dataclass
@@ -53,8 +60,6 @@ class UserSubproblem:
     target: float
     min_prefix: float  # every running sum of x must stay >= this
     max_prefix: float = np.inf  # ... and <= this (battery can't overfill)
-    history: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    history_slots: List[int] = field(default_factory=list)
 
     @property
     def n_free(self) -> int:
@@ -71,7 +76,6 @@ class SubproblemSolution:
 def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
                      history: Sequence[float] = (),
                      t0_sign: int = 0, t0_term_scale: float = 1.0,
-                     soc_floor_frac: float = SOC_FLOOR_FRACTION,
                      slot_cap=None) -> UserSubproblem:
     """Assemble the replanning LP for one vehicle.
 
@@ -94,20 +98,18 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
     signal = as_profile(signal)
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
-    window = profile.window_slots()
-    if len(history) > len(window):
+    if len(history) > profile.window_length():
         raise ConfigError(f"user {profile.user_id}: history longer than window")
-    fixed_slots = window[: len(history)]
-    free_slots = window[len(history):]
     history = np.asarray(history, dtype=float)
 
     delivered = float(history.sum())
     target = profile.required_energy - delivered
     soc_start = profile.initial_soc + delivered
-    floor = soc_floor_frac * profile.capacity
+    floor = SOC_FLOOR_FRACTION * profile.capacity
 
-    k = len(free_slots)
-    free = np.array(free_slots, dtype=np.intp) - 1
+    first = profile.arrival_slot + len(history)  # first free day slot
+    k = profile.departure_slot - first + 1
+    free = slice(first - 1, profile.departure_slot)
     lo = np.full(k, -profile.rate if profile.v2g else 0.0)
     up = np.full(k, profile.rate)
     if slot_cap is not None and k:
@@ -130,15 +132,13 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
 
     return UserSubproblem(
         user_id=profile.user_id,
-        slots=free_slots,
+        slots=list(range(first, profile.departure_slot + 1)),
         coeff=coeff,
         lo=lo,
         up=up,
         target=target,
         min_prefix=floor - soc_start,
         max_prefix=profile.capacity - soc_start,
-        history=history,
-        history_slots=fixed_slots,
     )
 
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
+
+from conftest import FLAT_DAY_YAML, REPO_ROOT
 
 from fleetdr.cli import (
     EXIT_CONFIG,
@@ -217,6 +221,38 @@ def test_mistyped_config_value_exits_config(tmp_path, capsys, section, key,
     assert main(["gen-fleet", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"{where}: expected" in capsys.readouterr().err
+
+
+def flat_day_with_fleet(tmp_path, **fleet):
+    raw = yaml.safe_load(open(FLAT_DAY_YAML))
+    raw["fleet"].update(fleet)
+    path = tmp_path / "cfg.yaml"
+    yaml.safe_dump(raw, open(path, "w"))
+    return str(path)
+
+
+def test_far_tail_truncnorm_exits_config(tmp_path):
+    # rejection sampling would never return, so run it where a hang is
+    # caught by the timeout
+    cfg = flat_day_with_fleet(tmp_path, arrival={
+        "family": "truncnorm", "mean": 0, "std": 1, "lo": 9, "hi": 10})
+    path = [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fleetdr.cli", "gen-fleet", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert "fleet.arrival: [lo, hi] holds less than" in proc.stderr
+
+
+def test_window_wrapping_past_the_day_exits_config(tmp_path, capsys):
+    # with a midnight day start, evening-to-morning windows wrap
+    cfg = flat_day_with_fleet(tmp_path, day_start_hour=0)
+    assert main(["gen-fleet", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "wraps" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "fleet.csv").exists()
 
 
 def test_negative_seed_exits_config(tmp_path, capsys):

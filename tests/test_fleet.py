@@ -71,16 +71,8 @@ def test_window_contiguous():
     p = make_profile(arrival_slot=5, departure_slot=9)
     assert p.window_length() == 5
     assert p.window_slots() == [5, 6, 7, 8, 9]
-    assert not p.is_wrapped()
     mask = p.window_mask()
     assert mask.sum() == 5 and mask[4] and mask[8] and not mask[3]
-
-
-def test_window_wrapped():
-    p = make_profile(arrival_slot=22, departure_slot=3, required_energy=3.0)
-    assert p.is_wrapped()
-    assert p.window_length() == 6
-    assert p.window_slots() == [22, 23, 24, 1, 2, 3]
 
 
 def test_validate_accepts_sane_profile():
@@ -101,6 +93,7 @@ def test_validate_accepts_sane_profile():
     dict(required_energy=float("nan")),
     dict(rate=float("inf")),
     dict(capacity=float("inf")),
+    dict(arrival_slot=22, departure_slot=3),  # wraps past the day's end
 ])
 def test_validate_rejects(kw):
     with pytest.raises(ConfigError):
@@ -152,6 +145,9 @@ def test_dist_validate_errors():
         Dist("uniform", {"lo": 0, "hi": 1, "mean": 0.5}).validate()
     with pytest.raises(ConfigError, match="round_to"):
         Dist("point", {"value": 1.0}, round_to="1").validate()
+    with pytest.raises(ConfigError, match="arrival: .* normal's mass"):
+        Dist("truncnorm", {"mean": 0, "std": 1, "lo": 9, "hi": 10}
+             ).validate("arrival")
 
 
 def test_dist_sampling_is_deterministic():
@@ -381,12 +377,14 @@ def test_fleet_csv_rejects_bad_value_with_row_number(tmp_path):
     path = tmp_path / "fleet.csv"
     write_fleet_csv(fleet, path)
     lines = path.read_text().splitlines()
-    for column, value in ((3, "not-a-number"), (3, "nan"), (6, "inf")):
+    for column, value, why in ((3, "not-a-number", "convert"),
+                               (3, "nan", "finite"), (6, "inf", "finite"),
+                               (1, "24", "wraps")):  # arrives after leaving
         row = lines[2].split(",")
         row[column] = value
         path.write_text("\n".join([*lines[:2], ",".join(row), *lines[3:]])
                         + "\n")
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match=f"row 3: .*{why}"):
             read_fleet_csv(path)
 
 

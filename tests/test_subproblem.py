@@ -76,7 +76,6 @@ def test_build_no_spike_term_at_full_price_weight():
 def test_build_history_freezes_early_slots():
     prof = make_profile(arrival_slot=5, departure_slot=12, required_energy=7.2)
     sub = build_subproblem(prof, np.zeros(24), history=[1.8, 1.8])
-    assert sub.history_slots == [5, 6]
     assert sub.slots == [7, 8, 9, 10, 11, 12]
     assert sub.target == pytest.approx(7.2 - 3.6)
     # SOC band is relative to the post-history state of charge
