@@ -17,19 +17,30 @@ A fleet-wide demand cap (the decarbonization limit) can be threaded through
 both phases: each vehicle's upper bounds shrink to the head-room the cap
 leaves after everyone else, which keeps the aggregate under the cap by
 construction.
+
+Each best response is one vehicle's LP (see :mod:`fleetdr.subproblem`).
+:func:`best_response_pass` solves it inline on a fast path: the vehicle's
+static data comes from a cache on the :class:`ScheduleState`, the greedy
+pour runs over Python lists, and a prefix-sum certificate checks the
+state-of-charge band. A solve the fast path cannot certify is handed whole
+to ``solve(build_subproblem(...))``, which stays the one reference
+solver and the one place that raises for an infeasible vehicle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
 from .fleet import N_SLOTS, PevProfile, as_profile
 from .market import MarketDay
-from .subproblem import build_subproblem, solve
+from .subproblem import (FEAS_TOL, SOC_FLOOR_FRACTION, _pour,
+                         build_subproblem, solve)
 
 
 @dataclass
@@ -48,13 +59,24 @@ class ConvergenceSpec:
 
 @dataclass
 class ScheduleState:
-    """Everyone's current plan plus how much of the day is already real."""
+    """Everyone's current plan plus how much of the day is already real.
+
+    Passes cache solve data computed from the frozen slots of ``pev`` until
+    ``realized_upto`` moves, so change plans only through passes, or start
+    a new state.
+    """
 
     fleet: List[PevProfile]
     household_total: np.ndarray
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
+    # fast-path solve data by fleet row, each valid for the realized_upto
+    # it was computed at, and the rate boxes those rows share
+    _vehicles: Dict[int, _Vehicle] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _boxes: Dict[tuple, _Box] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.household_total = as_profile(self.household_total)
@@ -127,6 +149,83 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
     return kappa * total / N_SLOTS
 
 
+class _Box(NamedTuple):
+    """The rate box of ``k`` free slots, as ``build_subproblem`` sets it."""
+
+    lo: np.ndarray
+    up: np.ndarray
+    lo_sum: float
+    up_sum: float
+    lo_list: List[float]
+    width: List[float]  # up - lo
+    reach: float  # rate * k, the most the box alone can deliver
+
+
+class _Vehicle(NamedTuple):
+    """One fleet row's solve data while ``realized_upto`` stays put."""
+
+    upto: int  # the realized_upto it was computed at
+    free: slice  # the free slots: the tail of the window
+    target: float
+    low: float  # least running sum the band allows, less FEAS_TOL
+    high: float  # greatest, plus FEAS_TOL
+    box: _Box
+
+
+def _vehicle(state: ScheduleState, idx: int) -> _Vehicle:
+    """Row ``idx``'s solve data, computed as ``build_subproblem`` does."""
+    prof = state.fleet[idx]
+    history = state.history_for(idx)
+    delivered = float(history.sum())
+    soc_start = prof.initial_soc + delivered
+    first = prof.arrival_slot + len(history)
+    k = prof.departure_slot - first + 1
+    key = (k, prof.rate, prof.v2g)
+    box = state._boxes.get(key)
+    if box is None:
+        lo = np.full(k, -prof.rate if prof.v2g else 0.0)
+        up = np.full(k, prof.rate)
+        box = state._boxes[key] = _Box(
+            lo, up, float(lo.sum()), float(up.sum()), lo.tolist(),
+            (up - lo).tolist(), prof.rate * k)
+    floor = SOC_FLOOR_FRACTION * prof.capacity
+    return _Vehicle(state.realized_upto,
+                    slice(first - 1, prof.departure_slot),
+                    prof.required_energy - delivered,
+                    floor - soc_start - FEAS_TOL,
+                    prof.capacity - soc_start + FEAS_TOL, box)
+
+
+def _certified_fill(veh: _Vehicle, signal: np.ndarray,
+                    room: np.ndarray | None, lam: float,
+                    t0: float | None) -> np.ndarray | None:
+    """The vehicle's greedy pour when it is certainly what ``solve`` would
+    return; None when any check fails and ``solve`` must decide."""
+    free, target = veh.free, veh.target
+    lo, up, lo_sum, up_sum, lo_list, width, reach = veh.box
+    if not lo_list:  # no free slot
+        return np.zeros(0) if abs(target) <= FEAS_TOL else None
+    if room is not None:
+        up = np.minimum(up, room[free])
+        if (up < lo - FEAS_TOL).any():
+            return None
+        up = np.maximum(up, lo)
+        if sum(up.tolist()) < target - FEAS_TOL <= reach:
+            return None
+        up_sum = float(up.sum())
+        width = (up - lo).tolist()
+    if not lo_sum - FEAS_TOL <= target <= up_sum + FEAS_TOL:
+        return None
+    coeff = lam * signal[free]
+    if t0 is not None:
+        coeff[0] += t0
+    x = _pour(lo_list.copy(), width, target - lo_sum, coeff)
+    running = list(accumulate(x))  # the sums np.cumsum gives
+    if min(running) >= veh.low and max(running) <= veh.high:
+        return np.array(x)
+    return None
+
+
 def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
                        t0_sign: int = 0, t0_term_scale: float = 1.0,
                        cap: float | None = None,
@@ -135,25 +234,45 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
 
     ``users`` are row indices into the fleet (default: everyone). Each
     solve sees the aggregate updated by all previous solves in the sweep.
+
+    The inputs are checked once per pass, not once per solve. Each vehicle
+    then runs the greedy pour of ``solve`` inline, from solve data cached
+    on ``state`` (free slots, energy target, state-of-charge band and rate
+    box), which is recomputed when ``realized_upto`` has moved. The pour
+    is kept only if every check ``build_subproblem`` and ``solve`` would
+    make passes: the cap's head-room, the energy range and the band's
+    prefix-sum certificate. Otherwise that vehicle is solved by
+    ``solve(build_subproblem(...))``, which gives the exact answer or
+    raises, so a pass always writes the plans the public solver gives.
     """
+    if not 0 <= lam <= 1:
+        raise ConfigError(f"lam must be in [0, 1], got {lam}")
+    if cap is not None and not math.isfinite(cap):
+        raise ConfigError(f"demand cap must be finite, got {cap}")
     if users is None:
         users = range(len(state.fleet))
-    agg_pev = state.pev.sum(axis=0)
+    t0 = ((1.0 - lam) * t0_term_scale * float(np.sign(t0_sign))
+          if lam < 1.0 and t0_sign else None)
+    pev, hh, da = state.pev, state.household_total, state.da_profile
+    agg_pev = as_profile(pev.sum(axis=0))
+    upto, vehicles = state.realized_upto, state._vehicles
     for idx in users:
-        plan = state.pev[idx]
-        others = state.household_total + agg_pev - plan
-        signal = others - state.da_profile
+        plan = pev[idx]
+        others = hh + agg_pev - plan
+        signal = others - da
         room = None if cap is None else cap - others
-        history = state.history_for(idx)
-        sub = build_subproblem(
-            state.fleet[idx], signal, lam=lam, history=history,
-            t0_sign=t0_sign, t0_term_scale=t0_term_scale, slot_cap=room)
-        sol = solve(sub)
-        # the free slots are the tail of the window, ending at departure
-        end = state.fleet[idx].departure_slot
-        free = slice(end - sol.x.size, end)
-        agg_pev[free] += sol.x - plan[free]
-        plan[free] = sol.x
+        veh = vehicles.get(idx)
+        if veh is None or veh.upto != upto:
+            veh = vehicles[idx] = _vehicle(state, idx)
+        x = _certified_fill(veh, signal, room, lam, t0)
+        if x is None:
+            x = solve(build_subproblem(
+                state.fleet[idx], signal, lam=lam,
+                history=state.history_for(idx), t0_sign=t0_sign,
+                t0_term_scale=t0_term_scale, slot_cap=room)).x
+        free = veh.free
+        agg_pev[free] += x - plan[free]
+        plan[free] = x
 
 
 def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec,

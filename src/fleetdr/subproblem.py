@@ -168,22 +168,28 @@ def check_feasible(sub: UserSubproblem, x, tol: float = FEAS_TOL) -> List[str]:
     return problems
 
 
-def _greedy_fill(sub: UserSubproblem) -> np.ndarray | None:
-    """Box+equality optimum by cheapest-first pouring; None if infeasible."""
-    lo_sum = float(sub.lo.sum())
-    up_sum = float(sub.up.sum())
-    if not lo_sum - FEAS_TOL <= sub.target <= up_sum + FEAS_TOL:
-        return None
-    x = sub.lo.copy()
-    remaining = sub.target - lo_sum
-    width = (sub.up - sub.lo).tolist()
-    for i in sub.coeff.argsort(kind="stable").tolist():
+def _pour(x: List[float], width: List[float], remaining: float,
+          coeff: np.ndarray) -> List[float]:
+    """Raise ``x`` (a list, in place) by ``remaining`` in total, filling
+    each slot's ``width`` cheapest ``coeff`` first; ties go in slot order.
+    """
+    for i in coeff.argsort(kind="stable").tolist():
         if remaining <= 0:
             break
         add = min(width[i], remaining)
         x[i] += add
         remaining -= add
     return x
+
+
+def _greedy_fill(sub: UserSubproblem) -> np.ndarray | None:
+    """Box+equality optimum by cheapest-first pouring; None if infeasible."""
+    lo_sum = float(sub.lo.sum())
+    up_sum = float(sub.up.sum())
+    if not lo_sum - FEAS_TOL <= sub.target <= up_sum + FEAS_TOL:
+        return None
+    return np.array(_pour(sub.lo.tolist(), (sub.up - sub.lo).tolist(),
+                          sub.target - lo_sum, sub.coeff))
 
 
 def _prefix_band_fill(sub: UserSubproblem) -> np.ndarray | None:

@@ -1,30 +1,40 @@
-"""The names the benchmark patches from outside still exist.
+"""The names the benchmark patches from outside still exist and are still
+called through.
 
-``perfbench/tracing.py`` wraps module attributes by name and
-``perfbench/calibrate.py`` paces ``coordinator.best_response_pass``; a
-renamed, inlined or deleted name would break only the traced benchmark run,
-so tier-1 checks the lookups here.
+``perfbench/tracing.py`` wraps module attributes by name,
+``perfbench/calibrate.py`` paces ``coordinator.best_response_pass`` and
+``perfbench/run.py`` captures every ``report.simulate_day``; a renamed,
+inlined or deleted name, or one the program stops calling through its
+module global, would break only the benchmark, so tier-1 checks both here.
 """
 
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REFERENCE_YAML, REPO_ROOT
+
+import fleetdr.coordinator as coordinator
+import fleetdr.report as report
+from fleetdr.scenario import build_scenario, load_config
+
+PERFBENCH = os.path.join(REPO_ROOT, "perfbench")
 
 
-def load_tracing():
-    path = os.path.join(REPO_ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.mark.parametrize("module, attr", [
-    entry[:2] for entry in load_tracing().TRACED])
+    entry[:2] for entry in load_perfbench("tracing").TRACED])
 def test_traced_name_resolves(module, attr):
     target = importlib.import_module(f"fleetdr.{module}")
     assert callable(getattr(target, attr, None)), \
@@ -34,3 +44,25 @@ def test_traced_name_resolves(module, attr):
 def test_paced_pass_resolves():
     coordinator = importlib.import_module("fleetdr.coordinator")
     assert callable(getattr(coordinator, "best_response_pass", None))
+
+
+def test_pacing_and_day_capture_see_every_call(monkeypatch):
+    # run.py imports its sibling modules by name
+    monkeypatch.syspath_prepend(PERFBENCH)
+    run = load_perfbench("run")
+    calibrator = load_perfbench("calibrate").Calibrator()
+    paced = []
+    calibrator.tick = lambda: paced.append(None)  # count, time nothing
+
+    cfg = load_config(REFERENCE_YAML)
+    cfg.fleet.n_users = 20
+    cfg.seed = 3  # a 20-vehicle day clear of the false cap verdict
+    sc = build_scenario(cfg)
+    with run.capture_days(report) as days, calibrator.pacing(coordinator):
+        report.run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+
+    assert len(days) == 3  # cases 2, 3 and 4
+    # cases 2 and 3 share one shaping; each shaping's sweeps are passes
+    sweeps = {id(day.shaped): day.da_sweeps for day in days}
+    assert len(sweeps) == 2
+    assert len(paced) >= sum(sweeps.values()) > 0

@@ -1,0 +1,141 @@
+"""The fused best-response pass against the per-vehicle reference pass.
+
+``reference_pass`` is the pass as one ``build_subproblem`` + ``solve`` per
+vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` solves
+most vehicles inline from cached solve data and must write the same plans,
+bit for bit, on every pass of a day, and fail the same way on bad input.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from test_v2g_fleet import half_v2g_config
+
+import fleetdr.coordinator as coordinator
+import fleetdr.report as report
+from fleetdr.coordinator import ScheduleState, best_response_pass
+from fleetdr.errors import ConfigError, InfeasibleError
+from fleetdr.fleet import N_SLOTS, PevProfile
+from fleetdr.scenario import build_scenario
+from fleetdr.subproblem import build_subproblem, solve
+
+
+def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
+                   cap=None, users=None):
+    if users is None:
+        users = range(len(state.fleet))
+    agg_pev = state.pev.sum(axis=0)
+    for idx in users:
+        plan = state.pev[idx]
+        others = state.household_total + agg_pev - plan
+        signal = others - state.da_profile
+        room = None if cap is None else cap - others
+        sub = build_subproblem(
+            state.fleet[idx], signal, lam=lam,
+            history=state.history_for(idx), t0_sign=t0_sign,
+            t0_term_scale=t0_term_scale, slot_cap=room)
+        x = solve(sub).x
+        end = state.fleet[idx].departure_slot
+        free = slice(end - x.size, end)
+        agg_pev[free] += x - plan[free]
+        plan[free] = x
+
+
+@pytest.fixture
+def checked_passes(monkeypatch):
+    """Run the reference pass beside every fused pass of a day and compare
+    plans; count passes, walk passes and the solves the fused pass hands
+    to ``solve`` by method."""
+    counts = {"passes": 0, "walk_passes": 0, "greedy": 0, "exact": 0,
+              "empty": 0}
+    fused, delegate = coordinator.best_response_pass, coordinator.solve
+
+    def counted_solve(sub):
+        sol = delegate(sub)
+        counts[sol.method] += 1
+        return sol
+
+    def checked_pass(state, **kwargs):
+        expected = copy.deepcopy(state)
+        reference_pass(expected, **kwargs)
+        fused(state, **kwargs)
+        counts["passes"] += 1
+        counts["walk_passes"] += state.realized_upto > 0
+        assert np.array_equal(state.pev, expected.pev), \
+            f"pass {counts['passes']} ({kwargs}) left other plans"
+
+    monkeypatch.setattr(coordinator, "solve", counted_solve)
+    monkeypatch.setattr(coordinator, "best_response_pass", checked_pass)
+    return counts
+
+
+def test_reference_day_passes_match_bit_for_bit(
+        reference_scenario, reference_config, checked_passes):
+    sc = reference_scenario
+    report.run_cases(sc.fleet, sc.household_total, sc.market,
+                     reference_config.case)
+    assert checked_passes["walk_passes"] > 0
+    # every reference-day solve is certified on the fast path
+    assert checked_passes["greedy"] + checked_passes["exact"] == 0
+
+
+def test_half_v2g_day_passes_match_bit_for_bit(checked_passes):
+    cfg = half_v2g_config(200)
+    sc = build_scenario(cfg)
+    report.run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+    # the band binds, so some solves go to the exact solver, and replans
+    # start past slot 0, so the cached solve data must follow realized_upto
+    assert checked_passes["exact"] > 0
+    assert checked_passes["walk_passes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# error paths: the fused pass fails as the reference pass does
+
+PASSES = pytest.mark.parametrize("run_pass", [reference_pass,
+                                              best_response_pass])
+
+
+def one_vehicle_state(pev=None, realized_upto=0, **kw):
+    base = dict(user_id=1, arrival_slot=1, departure_slot=3,
+                required_energy=3.6, capacity=24.0, initial_soc=12.0,
+                rate=1.8, v2g=False)
+    base.update(kw)
+    return ScheduleState(fleet=[PevProfile(**base)],
+                         household_total=np.full(N_SLOTS, 2.0),
+                         da_profile=np.zeros(N_SLOTS), pev=pev,
+                         realized_upto=realized_upto)
+
+
+@PASSES
+def test_lam_outside_the_unit_interval_is_a_config_error(run_pass):
+    with pytest.raises(ConfigError, match=r"lam must be in \[0, 1\]"):
+        run_pass(one_vehicle_state(), lam=1.5)
+
+
+@PASSES
+def test_non_finite_cap_is_a_config_error(run_pass):
+    with pytest.raises(ConfigError):
+        run_pass(one_vehicle_state(), cap=float("nan"))
+
+
+@PASSES
+def test_energy_owed_with_no_free_slot_is_an_energy_balance_error(run_pass):
+    with pytest.raises(InfeasibleError) as err:
+        run_pass(one_vehicle_state(realized_upto=3))
+    assert err.value.constraint == "energy balance"
+    assert err.value.user_id == 1
+
+
+@PASSES
+def test_band_infeasible_v2g_vehicle_is_a_state_of_charge_error(run_pass):
+    # arrives below its 2 kWh reserve and can add only 1 kWh in its slot
+    state = one_vehicle_state(departure_slot=1, required_energy=1.0,
+                              capacity=10.0, initial_soc=0.5, rate=1.0,
+                              v2g=True)
+    with pytest.raises(InfeasibleError) as err:
+        run_pass(state)
+    assert err.value.constraint == "state-of-charge"
+    assert err.value.user_id == 1
