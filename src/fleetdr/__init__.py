@@ -6,7 +6,7 @@ from .fleet import (Dist, FleetSpec, HouseholdSpec, PevProfile,
                     baseline_household, read_fleet_csv, sample_fleet,
                     uncoordinated_profile, write_fleet_csv)
 from .market import (CostBreakdown, MarketDay, MarketSpec, PriceSeries,
-                     SpikeSpec, imbalance, load_market_day, procurement_cost,
+                     SpikeSpec, load_market_day, procurement_cost,
                      save_market_day, synth_prices, water_fill)
 from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
                           ShapedPlans, cap_value, decide_altering,

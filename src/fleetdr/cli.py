@@ -16,8 +16,9 @@ from .coordinator import cap_value, simulate_day
 from .errors import ConfigError, DataError, InfeasibleError
 from .fleet import write_fleet_csv
 from .report import emit, run_cases
-from .scenario import (Scenario, ScenarioConfig, build_scenario,
-                       config_digest, load_config)
+from .scenario import (FLEET_SEED_OFFSET, HOUSEHOLD_SEED_OFFSET,
+                       PRICE_SEED_OFFSET, Scenario, ScenarioConfig,
+                       build_scenario, config_digest, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,8 +38,9 @@ def _meta(cfg: ScenarioConfig) -> dict:
     return {
         "config_sha256": config_digest(cfg),
         "seed": cfg.seed,
-        "stage_seeds": {"fleet": cfg.seed, "households": cfg.seed + 1,
-                        "prices": cfg.seed + 2},
+        "stage_seeds": {"fleet": cfg.seed + FLEET_SEED_OFFSET,
+                        "households": cfg.seed + HOUSEHOLD_SEED_OFFSET,
+                        "prices": cfg.seed + PRICE_SEED_OFFSET},
     }
 
 

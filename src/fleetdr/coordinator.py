@@ -18,29 +18,30 @@ both phases: each vehicle's upper bounds shrink to the head-room the cap
 leaves after everyone else, which keeps the aggregate under the cap by
 construction.
 
-Each best response is one vehicle's LP (see :mod:`fleetdr.subproblem`).
-:func:`best_response_pass` solves it inline on a fast path: the vehicle's
-static data comes from a cache on the :class:`ScheduleState`, the greedy
-pour runs over Python lists, and a prefix-sum certificate checks the
-state-of-charge band. A solve the fast path cannot certify is handed whole
-to ``solve(build_subproblem(...))``, which stays the one reference
-solver and the one place that raises for an infeasible vehicle.
+Each best response is one vehicle's LP, solved by the steps of
+:mod:`fleetdr.subproblem`: :func:`best_response_pass` keeps each vehicle's
+derived LP (:func:`~fleetdr.subproblem.vehicle_lp`) on the
+:class:`ScheduleState` until the walk freezes another slot, cuts its box to
+the cap's head-room, prices its free slots and calls
+:func:`~fleetdr.subproblem.solve_vehicle`, which returns the plan or raises
+for an infeasible vehicle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
 from .fleet import N_SLOTS, PevProfile, as_profile
 from .market import MarketDay
-from .subproblem import (FEAS_TOL, SOC_FLOOR_FRACTION, _pour,
-                         build_subproblem, solve)
+from .subproblem import (Box, VehicleLp, capped_box, solve_vehicle, t0_term,
+                         vehicle_lp)
+# unused here; perfbench/tracing.py wraps both (test_traced_name_resolves)
+from .subproblem import build_subproblem, solve  # noqa: F401
 
 
 @dataclass
@@ -61,9 +62,9 @@ class ConvergenceSpec:
 class ScheduleState:
     """Everyone's current plan plus how much of the day is already real.
 
-    Passes cache solve data computed from the frozen slots of ``pev`` until
-    ``realized_upto`` moves, so change plans only through passes, or start
-    a new state.
+    Passes cache each vehicle's LP, derived from the frozen slots of
+    ``pev``, until ``realized_upto`` moves, so change plans only through
+    passes, or start a new state.
     """
 
     fleet: List[PevProfile]
@@ -71,11 +72,11 @@ class ScheduleState:
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
-    # fast-path solve data by fleet row, each valid for the realized_upto
-    # it was computed at, and the rate boxes those rows share
-    _vehicles: Dict[int, _Vehicle] = field(
+    # each fleet row's derived LP with the realized_upto it was derived at,
+    # and the rate boxes those LPs share
+    _vehicles: Dict[int, Tuple[int, VehicleLp]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _boxes: Dict[tuple, _Box] = field(
+    _boxes: Dict[tuple, Box] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,83 +150,6 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
     return kappa * total / N_SLOTS
 
 
-class _Box(NamedTuple):
-    """The rate box of ``k`` free slots, as ``build_subproblem`` sets it."""
-
-    lo: np.ndarray
-    up: np.ndarray
-    lo_sum: float
-    up_sum: float
-    lo_list: List[float]
-    width: List[float]  # up - lo
-    reach: float  # rate * k, the most the box alone can deliver
-
-
-class _Vehicle(NamedTuple):
-    """One fleet row's solve data while ``realized_upto`` stays put."""
-
-    upto: int  # the realized_upto it was computed at
-    free: slice  # the free slots: the tail of the window
-    target: float
-    low: float  # least running sum the band allows, less FEAS_TOL
-    high: float  # greatest, plus FEAS_TOL
-    box: _Box
-
-
-def _vehicle(state: ScheduleState, idx: int) -> _Vehicle:
-    """Row ``idx``'s solve data, computed as ``build_subproblem`` does."""
-    prof = state.fleet[idx]
-    history = state.history_for(idx)
-    delivered = float(history.sum())
-    soc_start = prof.initial_soc + delivered
-    first = prof.arrival_slot + len(history)
-    k = prof.departure_slot - first + 1
-    key = (k, prof.rate, prof.v2g)
-    box = state._boxes.get(key)
-    if box is None:
-        lo = np.full(k, -prof.rate if prof.v2g else 0.0)
-        up = np.full(k, prof.rate)
-        box = state._boxes[key] = _Box(
-            lo, up, float(lo.sum()), float(up.sum()), lo.tolist(),
-            (up - lo).tolist(), prof.rate * k)
-    floor = SOC_FLOOR_FRACTION * prof.capacity
-    return _Vehicle(state.realized_upto,
-                    slice(first - 1, prof.departure_slot),
-                    prof.required_energy - delivered,
-                    floor - soc_start - FEAS_TOL,
-                    prof.capacity - soc_start + FEAS_TOL, box)
-
-
-def _certified_fill(veh: _Vehicle, signal: np.ndarray,
-                    room: np.ndarray | None, lam: float,
-                    t0: float | None) -> np.ndarray | None:
-    """The vehicle's greedy pour when it is certainly what ``solve`` would
-    return; None when any check fails and ``solve`` must decide."""
-    free, target = veh.free, veh.target
-    lo, up, lo_sum, up_sum, lo_list, width, reach = veh.box
-    if not lo_list:  # no free slot
-        return np.zeros(0) if abs(target) <= FEAS_TOL else None
-    if room is not None:
-        up = np.minimum(up, room[free])
-        if (up < lo - FEAS_TOL).any():
-            return None
-        up = np.maximum(up, lo)
-        if sum(up.tolist()) < target - FEAS_TOL <= reach:
-            return None
-        up_sum = float(up.sum())
-        width = (up - lo).tolist()
-    if not lo_sum - FEAS_TOL <= target <= up_sum + FEAS_TOL:
-        return None
-    coeff = lam * signal[free]
-    if t0 is not None:
-        coeff[0] += t0
-    x = _pour(lo_list.copy(), width, target - lo_sum, coeff)
-    running = list(accumulate(x))  # the sums np.cumsum gives
-    if min(running) >= veh.low and max(running) <= veh.high:
-        return np.array(x)
-    return None
-
-
 def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
                        t0_sign: int = 0, t0_term_scale: float = 1.0,
                        cap: float | None = None,
@@ -235,15 +159,11 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
     ``users`` are row indices into the fleet (default: everyone). Each
     solve sees the aggregate updated by all previous solves in the sweep.
 
-    The inputs are checked once per pass, not once per solve. Each vehicle
-    then runs the greedy pour of ``solve`` inline, from solve data cached
-    on ``state`` (free slots, energy target, state-of-charge band and rate
-    box), which is recomputed when ``realized_upto`` has moved. The pour
-    is kept only if every check ``build_subproblem`` and ``solve`` would
-    make passes: the cap's head-room, the energy range and the band's
-    prefix-sum certificate. Otherwise that vehicle is solved by
-    ``solve(build_subproblem(...))``, which gives the exact answer or
-    raises, so a pass always writes the plans the public solver gives.
+    The inputs are checked once per pass, not once per solve. Each
+    vehicle's LP is derived once per ``realized_upto`` and kept on
+    ``state``; per solve the pass only cuts its box to the cap's head-room,
+    prices its free slots and solves it, so it writes exactly the plans
+    ``solve(build_subproblem(...))`` gives and raises the same errors.
     """
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
@@ -251,26 +171,26 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         raise ConfigError(f"demand cap must be finite, got {cap}")
     if users is None:
         users = range(len(state.fleet))
-    t0 = ((1.0 - lam) * t0_term_scale * float(np.sign(t0_sign))
-          if lam < 1.0 and t0_sign else None)
+    t0 = t0_term(lam, t0_sign, t0_term_scale)
     pev, hh, da = state.pev, state.household_total, state.da_profile
     agg_pev = as_profile(pev.sum(axis=0))
     upto, vehicles = state.realized_upto, state._vehicles
     for idx in users:
         plan = pev[idx]
         others = hh + agg_pev - plan
-        signal = others - da
-        room = None if cap is None else cap - others
-        veh = vehicles.get(idx)
-        if veh is None or veh.upto != upto:
-            veh = vehicles[idx] = _vehicle(state, idx)
-        x = _certified_fill(veh, signal, room, lam, t0)
-        if x is None:
-            x = solve(build_subproblem(
-                state.fleet[idx], signal, lam=lam,
-                history=state.history_for(idx), t0_sign=t0_sign,
-                t0_term_scale=t0_term_scale, slot_cap=room)).x
-        free = veh.free
+        cached = vehicles.get(idx)
+        if cached is None or cached[0] != upto:
+            cached = vehicles[idx] = (upto, vehicle_lp(
+                state.fleet[idx], state.history_for(idx), state._boxes))
+        lp = cached[1]
+        free = lp.free
+        box = lp.box if cap is None else capped_box(lp, cap - others)
+        coeff = (others - da)[free]
+        if lam != 1.0:  # shaping passes skip an exact multiply by 1
+            coeff *= lam
+        if t0 is not None and coeff.size:
+            coeff[0] += t0
+        x = solve_vehicle(lp, box, coeff)[0]
         agg_pev[free] += x - plan[free]
         plan[free] = x
 

@@ -72,11 +72,6 @@ class CostBreakdown:
         return self.da_cost + self.rt_cost
 
 
-def imbalance(actual, da_profile) -> np.ndarray:
-    """Per-slot deviation of actual consumption from the DA purchase (kWh)."""
-    return as_profile(actual) - as_profile(da_profile)
-
-
 def procurement_cost(day: MarketDay, actual) -> CostBreakdown:
     """Retailer cost of serving ``actual``: DA leg plus RT imbalance leg.
 

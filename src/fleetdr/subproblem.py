@@ -9,12 +9,21 @@ departure. The feasible set is a box (per-slot power limits), an equality
 state-of-charge band (the battery never drains below its reserve nor fills
 past its capacity).
 
-One solver, two independent oracles for the same object:
+Every solve, the coordinator's and the public one, runs the same three
+steps:
 
-* :func:`solve` -- the solver: a greedy fill that is provably optimal
-  whenever the state-of-charge band does not bind, and an exact dynamic
-  program over the running sum (a min-cost flow along the slot chain) when
-  it does.
+* :func:`vehicle_lp` derives the part of the LP that stays fixed while the
+  vehicle's history does: free slots, energy target, band and rate box.
+* :func:`capped_box` tightens the box to a demand cap's head-room, or
+  raises when the cap leaves the vehicle no way to meet its target.
+* :func:`solve_vehicle` solves the LP or raises: a greedy fill that is
+  provably optimal whenever the state-of-charge band does not bind, and an
+  exact dynamic program over the running sum (a min-cost flow along the
+  slot chain) when it does.
+
+:func:`build_subproblem` and :func:`solve` expose the same steps as one
+:class:`UserSubproblem` at a time. Two independent oracles check them:
+
 * :func:`brute_force_oracle` -- exact dynamic program over a discretised
   charge grid, for small instances, used to validate the production path.
 * :func:`enumerate_oracle` -- literal exhaustive search over the same grid,
@@ -24,9 +33,9 @@ One solver, two independent oracles for the same object:
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
-from typing import List, Sequence
+from itertools import accumulate, product
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +82,96 @@ class SubproblemSolution:
     method: str  # "greedy" | "exact" | "empty"
 
 
+class Box(NamedTuple):
+    """Per-slot bounds of the free slots, with the sums and lists the
+    solver reads."""
+
+    lo: np.ndarray
+    up: np.ndarray
+    lo_sum: float
+    up_sum: float
+    lo_list: List[float]
+    width: List[float]  # up - lo
+
+
+def _box(lo: np.ndarray, up: np.ndarray) -> Box:
+    return Box(lo, up, float(lo.sum()), float(up.sum()), lo.tolist(),
+               (up - lo).tolist())
+
+
+class VehicleLp(NamedTuple):
+    """The part of one vehicle's LP that stays fixed while its history
+    does; only the prices and the cap's head-room change between solves."""
+
+    user_id: int
+    free: slice  # the free slots, as a slice of a (24,) profile
+    target: float
+    min_prefix: float
+    max_prefix: float
+    reach: float  # rate * k, the most the rate box alone can deliver
+    box: Box  # the rate box, before any cap
+
+
+def vehicle_lp(profile: PevProfile, history: np.ndarray,
+               boxes: Dict[tuple, Box] | None = None) -> VehicleLp:
+    """Derive ``profile``'s LP once its first ``len(history)`` window slots
+    are fixed to ``history``.
+
+    ``boxes``, if given, caches rate boxes by (slot count, rate, V2G flag),
+    so vehicles that agree on all three share one; the solver never writes
+    to a box.
+    """
+    if len(history) > profile.window_length():
+        raise ConfigError(f"user {profile.user_id}: history longer than window")
+    delivered = float(history.sum())
+    soc_start = profile.initial_soc + delivered
+    first = profile.arrival_slot + len(history)  # first free day slot
+    k = profile.departure_slot - first + 1
+    key = (k, profile.rate, profile.v2g)
+    box = None if boxes is None else boxes.get(key)
+    if box is None:
+        box = _box(np.full(k, -profile.rate if profile.v2g else 0.0),
+                   np.full(k, profile.rate))
+        if boxes is not None:
+            boxes[key] = box
+    return VehicleLp(profile.user_id, slice(first - 1, profile.departure_slot),
+                     profile.required_energy - delivered,
+                     SOC_FLOOR_FRACTION * profile.capacity - soc_start,
+                     profile.capacity - soc_start, profile.rate * k, box)
+
+
+def capped_box(lp: VehicleLp, room: np.ndarray) -> Box:
+    """``lp``'s rate box with its upper bounds cut to ``room``, the 24-slot
+    head-room a fleet-wide demand cap leaves after everyone else's plans.
+
+    Raises with the cap as the binding constraint when the head-room is
+    below the box's lower bound at a free slot, or falls short of an energy
+    target the box alone reaches.
+    """
+    lo, up, lo_sum, _, lo_list, _ = lp.box
+    up = np.minimum(up, room[lp.free])
+    if (up < lo - FEAS_TOL).any():
+        raise InfeasibleError(
+            "demand cap leaves no room at a connected slot",
+            user_id=lp.user_id, constraint="demand cap")
+    up = np.maximum(up, lo)
+    reachable = sum(up.tolist())  # cheaper than up.sum() at this size
+    if reachable < lp.target - FEAS_TOL <= lp.reach:
+        raise InfeasibleError(
+            f"{lp.target:.3f} kWh owed but the cap's head-room leaves "
+            f"{reachable:.3f} kWh reachable", user_id=lp.user_id,
+            constraint="demand cap")
+    return Box(lo, up, lo_sum, float(up.sum()), lo_list, (up - lo).tolist())
+
+
+def t0_term(lam: float, t0_sign: int, t0_term_scale: float) -> float | None:
+    """The immediate-consumption price added to the first free slot, or
+    None when there is none."""
+    if lam < 1.0 and t0_sign:
+        return (1.0 - lam) * t0_term_scale * float(np.sign(t0_sign))
+    return None
+
+
 def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
                      history: Sequence[float] = (),
                      t0_sign: int = 0, t0_term_scale: float = 1.0,
@@ -91,55 +190,23 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
 
     ``slot_cap``, if given, is a 24-slot ceiling on this vehicle's own
     charge rate (typically the head-room a fleet-wide demand cap leaves
-    after everyone else's plans); it tightens the upper bounds. When the
-    tightened bounds fall short of an energy target the vehicle's own box
-    reaches, the cap is named as the binding constraint.
+    after everyone else's plans); it tightens the upper bounds (see
+    :func:`capped_box`).
     """
     signal = as_profile(signal)
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
-    if len(history) > profile.window_length():
-        raise ConfigError(f"user {profile.user_id}: history longer than window")
-    history = np.asarray(history, dtype=float)
-
-    delivered = float(history.sum())
-    target = profile.required_energy - delivered
-    soc_start = profile.initial_soc + delivered
-    floor = SOC_FLOOR_FRACTION * profile.capacity
-
-    first = profile.arrival_slot + len(history)  # first free day slot
-    k = profile.departure_slot - first + 1
-    free = slice(first - 1, profile.departure_slot)
-    lo = np.full(k, -profile.rate if profile.v2g else 0.0)
-    up = np.full(k, profile.rate)
-    if slot_cap is not None and k:
-        room = as_profile(slot_cap)
-        up = np.minimum(up, room[free])
-        if (up < lo - FEAS_TOL).any():
-            raise InfeasibleError(
-                "demand cap leaves no room at a connected slot",
-                user_id=profile.user_id, constraint="demand cap")
-        up = np.maximum(up, lo)
-        reachable = sum(up.tolist())  # cheaper than up.sum() at this size
-        if reachable < target - FEAS_TOL <= profile.rate * k:
-            raise InfeasibleError(
-                f"{target:.3f} kWh owed but the cap's head-room leaves "
-                f"{reachable:.3f} kWh reachable", user_id=profile.user_id,
-                constraint="demand cap")
-    coeff = lam * signal[free]
-    if k and lam < 1.0 and t0_sign:
-        coeff[0] += (1.0 - lam) * t0_term_scale * float(np.sign(t0_sign))
-
+    lp = vehicle_lp(profile, np.asarray(history, dtype=float))
+    box = lp.box if slot_cap is None else capped_box(lp, as_profile(slot_cap))
+    coeff = lam * signal[lp.free]
+    t0 = t0_term(lam, t0_sign, t0_term_scale)
+    if t0 is not None and coeff.size:
+        coeff[0] += t0
     return UserSubproblem(
-        user_id=profile.user_id,
-        slots=list(range(first, profile.departure_slot + 1)),
-        coeff=coeff,
-        lo=lo,
-        up=up,
-        target=target,
-        min_prefix=floor - soc_start,
-        max_prefix=profile.capacity - soc_start,
-    )
+        user_id=lp.user_id,
+        slots=list(range(lp.free.start + 1, lp.free.stop + 1)),
+        coeff=coeff, lo=box.lo, up=box.up, target=lp.target,
+        min_prefix=lp.min_prefix, max_prefix=lp.max_prefix)
 
 
 def check_feasible(sub: UserSubproblem, x, tol: float = FEAS_TOL) -> List[str]:
@@ -182,17 +249,9 @@ def _pour(x: List[float], width: List[float], remaining: float,
     return x
 
 
-def _greedy_fill(sub: UserSubproblem) -> np.ndarray | None:
-    """Box+equality optimum by cheapest-first pouring; None if infeasible."""
-    lo_sum = float(sub.lo.sum())
-    up_sum = float(sub.up.sum())
-    if not lo_sum - FEAS_TOL <= sub.target <= up_sum + FEAS_TOL:
-        return None
-    return np.array(_pour(sub.lo.tolist(), (sub.up - sub.lo).tolist(),
-                          sub.target - lo_sum, sub.coeff))
-
-
-def _prefix_band_fill(sub: UserSubproblem) -> np.ndarray | None:
+def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
+                      floor: float, ceiling: float,
+                      target: float) -> np.ndarray | None:
     """Exact optimum inside the state-of-charge band; None if infeasible.
 
     A dynamic program over the running sum s. After each slot, the cheapest
@@ -205,12 +264,10 @@ def _prefix_band_fill(sub: UserSubproblem) -> np.ndarray | None:
     slot's box can reach, and on a flat stretch the one that moves the slot
     least, so tied optima never charge and discharge for zero gain.
     """
-    lo, up, coeff = sub.lo.tolist(), sub.up.tolist(), sub.coeff.tolist()
-    floor, ceiling = sub.min_prefix, sub.max_prefix
     start = 0.0
     pieces: List[tuple[float, float]] = []
     stages = []  # (start, pieces) of the cost before each slot
-    for i in range(sub.n_free):
+    for i in range(len(lo)):
         stages.append((start, pieces.copy()))
         start += lo[i]
         if up[i] > lo[i]:
@@ -234,12 +291,12 @@ def _prefix_band_fill(sub: UserSubproblem) -> np.ndarray | None:
             elif cut > FEAS_TOL:
                 return None
     end = start + sum(length for _, length in pieces)
-    if not start - FEAS_TOL <= sub.target <= end + FEAS_TOL:
+    if not start - FEAS_TOL <= target <= end + FEAS_TOL:
         return None
 
-    x = np.zeros(sub.n_free)
-    s = sub.target
-    for i in range(sub.n_free - 1, -1, -1):
+    x = np.zeros(len(lo))
+    s = target
+    for i in range(len(lo) - 1, -1, -1):
         start, pieces = stages[i]
         cheaper = sum(length for slope, length in pieces if slope < coeff[i])
         tied = sum(length for slope, length in pieces if slope == coeff[i])
@@ -251,42 +308,52 @@ def _prefix_band_fill(sub: UserSubproblem) -> np.ndarray | None:
     return x
 
 
-def solve(sub: UserSubproblem) -> SubproblemSolution:
-    """Solve one vehicle's replanning LP.
+def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
+                  coeff: np.ndarray) -> Tuple[np.ndarray, str]:
+    """Solve one vehicle's LP over ``box`` at prices ``coeff``; returns the
+    plan on the free slots and the method that found it.
 
-    The greedy fill solves the relaxation without the state-of-charge band;
-    if its answer happens to respect the band it is optimal for the full
-    problem too (adding constraints can only worsen the optimum), and that
-    certificate lets most solves skip the exact prefix-band program.
+    ``lp`` supplies only the user id, the energy target and the band.
+    The greedy pour solves the relaxation without the state-of-charge band;
+    if its running sums happen to respect the band it is optimal for the
+    full problem too (adding constraints can only worsen the optimum), and
+    that certificate lets most solves skip the exact prefix-band program.
+    Raises ``InfeasibleError`` naming the binding constraint.
     """
-    if sub.n_free == 0:
-        if abs(sub.target) > FEAS_TOL:
+    _, up, lo_sum, up_sum, lo_list, width = box
+    target = lp.target
+    if not lo_list:
+        if abs(target) > FEAS_TOL:
             raise InfeasibleError(
-                f"{abs(sub.target):.3f} kWh still owed after the last "
-                "schedulable slot", user_id=sub.user_id,
+                f"{abs(target):.3f} kWh still owed after the last "
+                "schedulable slot", user_id=lp.user_id,
                 constraint="energy balance")
-        return SubproblemSolution(x=np.zeros(0), objective=0.0, method="empty")
-
-    x = _greedy_fill(sub)
-    if x is None:
+        return np.zeros(0), "empty"
+    if not lo_sum - FEAS_TOL <= target <= up_sum + FEAS_TOL:
         raise InfeasibleError(
-            f"energy target {sub.target:.3f} kWh outside reachable "
-            f"[{sub.lo.sum():.3f}, {sub.up.sum():.3f}]",
-            user_id=sub.user_id, constraint="energy balance")
-    running = np.cumsum(x)
-    if (running.min() >= sub.min_prefix - FEAS_TOL
-            and running.max() <= sub.max_prefix + FEAS_TOL):
-        return SubproblemSolution(
-            x=x, objective=float(sub.coeff @ x), method="greedy")
-
-    x = _prefix_band_fill(sub)
+            f"energy target {target:.3f} kWh outside reachable "
+            f"[{lo_sum:.3f}, {up_sum:.3f}]",
+            user_id=lp.user_id, constraint="energy balance")
+    x = _pour(lo_list.copy(), width, target - lo_sum, coeff)
+    running = list(accumulate(x))  # the sums np.cumsum gives
+    if (min(running) >= lp.min_prefix - FEAS_TOL
+            and max(running) <= lp.max_prefix + FEAS_TOL):
+        return np.array(x), "greedy"
+    x = _prefix_band_fill(lo_list, up.tolist(), coeff.tolist(),
+                          lp.min_prefix, lp.max_prefix, target)
     if x is None:
         raise InfeasibleError(
             "no schedule meets the energy target while keeping the battery "
-            "between its reserve and its capacity", user_id=sub.user_id,
+            "between its reserve and its capacity", user_id=lp.user_id,
             constraint="state-of-charge")
+    return x, "exact"
+
+
+def solve(sub: UserSubproblem) -> SubproblemSolution:
+    """Solve one vehicle's replanning LP (see :func:`solve_vehicle`)."""
+    x, method = solve_vehicle(sub, _box(sub.lo, sub.up), sub.coeff)
     return SubproblemSolution(x=x, objective=float(sub.coeff @ x),
-                              method="exact")
+                              method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +466,7 @@ def enumerate_oracle(sub: UserSubproblem, grid_step: float = 0.1
     best = None
     best_cost = np.inf
     ranges = [range(lo_g[i], up_g[i] + 1) for i in range(k)]
-    for combo in itertools.product(*ranges):
+    for combo in product(*ranges):
         if sum(combo) != tgt_g:
             continue
         cum = 0

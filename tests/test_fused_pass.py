@@ -1,9 +1,10 @@
 """The fused best-response pass against the per-vehicle reference pass.
 
 ``reference_pass`` is the pass as one ``build_subproblem`` + ``solve`` per
-vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` solves
-most vehicles inline from cached solve data and must write the same plans,
-bit for bit, on every pass of a day, and fail the same way on bad input.
+vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` derives
+each vehicle's LP once per frozen history and calls ``solve_vehicle`` on
+it; it must write the same plans, bit for bit, on every pass of a day, and
+fail the same way on bad input.
 """
 
 import copy
@@ -46,16 +47,16 @@ def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
 @pytest.fixture
 def checked_passes(monkeypatch):
     """Run the reference pass beside every fused pass of a day and compare
-    plans; count passes, walk passes and the solves the fused pass hands
-    to ``solve`` by method."""
+    plans; count passes, walk passes and the fused pass's solves by
+    method."""
     counts = {"passes": 0, "walk_passes": 0, "greedy": 0, "exact": 0,
               "empty": 0}
-    fused, delegate = coordinator.best_response_pass, coordinator.solve
+    fused, kernel = coordinator.best_response_pass, coordinator.solve_vehicle
 
-    def counted_solve(sub):
-        sol = delegate(sub)
-        counts[sol.method] += 1
-        return sol
+    def counted_solve(lp, box, coeff):
+        x, method = kernel(lp, box, coeff)
+        counts[method] += 1
+        return x, method
 
     def checked_pass(state, **kwargs):
         expected = copy.deepcopy(state)
@@ -66,7 +67,7 @@ def checked_passes(monkeypatch):
         assert np.array_equal(state.pev, expected.pev), \
             f"pass {counts['passes']} ({kwargs}) left other plans"
 
-    monkeypatch.setattr(coordinator, "solve", counted_solve)
+    monkeypatch.setattr(coordinator, "solve_vehicle", counted_solve)
     monkeypatch.setattr(coordinator, "best_response_pass", checked_pass)
     return counts
 
@@ -77,8 +78,9 @@ def test_reference_day_passes_match_bit_for_bit(
     report.run_cases(sc.fleet, sc.household_total, sc.market,
                      reference_config.case)
     assert checked_passes["walk_passes"] > 0
-    # every reference-day solve is certified on the fast path
-    assert checked_passes["greedy"] + checked_passes["exact"] == 0
+    # the band never binds on this charge-only day
+    assert checked_passes["greedy"] > 0
+    assert checked_passes["exact"] == 0
 
 
 def test_half_v2g_day_passes_match_bit_for_bit(checked_passes):
@@ -86,7 +88,7 @@ def test_half_v2g_day_passes_match_bit_for_bit(checked_passes):
     sc = build_scenario(cfg)
     report.run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
     # the band binds, so some solves go to the exact solver, and replans
-    # start past slot 0, so the cached solve data must follow realized_upto
+    # start past slot 0, so the cached LPs must follow realized_upto
     assert checked_passes["exact"] > 0
     assert checked_passes["walk_passes"] > 0
 
@@ -139,3 +141,26 @@ def test_band_infeasible_v2g_vehicle_is_a_state_of_charge_error(run_pass):
         run_pass(state)
     assert err.value.constraint == "state-of-charge"
     assert err.value.user_id == 1
+
+
+
+@PASSES
+def test_cap_below_households_is_a_demand_cap_error(run_pass):
+    # households draw 2 kWh a slot, so a 1.5 kWh cap leaves negative room
+    with pytest.raises(InfeasibleError) as err:
+        run_pass(one_vehicle_state(), cap=1.5)
+    assert type(err.value) is InfeasibleError
+    assert (err.value.constraint, err.value.user_id) == ("demand cap", 1)
+    assert str(err.value) == ("user 1: [demand cap] demand cap leaves no "
+                              "room at a connected slot")
+
+
+@PASSES
+def test_cap_short_of_the_target_is_a_demand_cap_error(run_pass):
+    # 0.5 kWh of head-room in each of 3 slots: 1.5 of the 3.6 kWh owed
+    with pytest.raises(InfeasibleError) as err:
+        run_pass(one_vehicle_state(), cap=2.5)
+    assert type(err.value) is InfeasibleError
+    assert (err.value.constraint, err.value.user_id) == ("demand cap", 1)
+    assert str(err.value) == ("user 1: [demand cap] 3.600 kWh owed but the "
+                              "cap's head-room leaves 1.500 kWh reachable")

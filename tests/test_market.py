@@ -11,7 +11,6 @@ from fleetdr.market import (
     MarketSpec,
     PriceSeries,
     SpikeSpec,
-    imbalance,
     load_market_day,
     load_prices,
     load_profile_csv,
@@ -84,11 +83,6 @@ def test_under_consumption_earns_rt_revenue():
     day = flat_day(da=0.03, rt=0.05, purchased=10.0)
     cost = procurement_cost(day, np.full(N_SLOTS, 8.0))
     assert cost.rt_cost == pytest.approx(-24 * 2 * 0.05)
-
-
-def test_imbalance_sign_convention():
-    dev = imbalance(np.full(24, 7.0), np.full(24, 10.0))
-    assert np.allclose(dev, -3.0)
 
 
 @given(profiles, deltas)
