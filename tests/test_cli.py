@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,34 @@ def test_compare_cases_flat_day_equalizes_cases_2_and_3(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["deltas_usd"]["2-3"] == 0.0
     assert summary["deltas_usd"]["3-4"] == 0.0  # no kappa: case 4 == case 3
+
+
+# ---------------------------------------------------------------------------
+# pinned flat-day outputs
+
+# sha256 of what gen-fleet and simulate write for configs/flat_day.yaml
+# (60 vehicles); summary.json is pinned too, since its config digest is
+FLAT_DAY_DIGESTS = {
+    ("gen-fleet", "fleet.csv"):
+        "218c6bf498292251a176c138f5a3490fb8fb911f894f75eb4b13a913b14b54c1",
+    ("simulate", "aggregate.csv"):
+        "2d609170eca8e58d4431ce4f5e70d04710eaefc42babd45ca676f9a1b29af70f",
+    ("simulate", "mse_trace.csv"):
+        "321e444f9cb6f3611a682749ec2e1387a250b94e71b3a3970bfe0772995e0d7c",
+    ("simulate", "summary.json"):
+        "b8ea33904892f75157b9d3f2a2be95a1fde788e57f0a6f0e145372ce2a4b4ab7",
+}
+
+
+def test_flat_day_artifacts_match_pinned_digests(tmp_path, capsys):
+    for command in ("gen-fleet", "simulate"):
+        assert main([command, "--config", FLAT_DAY_YAML,
+                     "--out", str(tmp_path / command)]) == EXIT_OK
+    got = {(cmd, name): hashlib.sha256(
+               (tmp_path / cmd / name).read_bytes()).hexdigest()
+           for cmd, name in FLAT_DAY_DIGESTS}
+    changed = sorted(k for k in got if got[k] != FLAT_DAY_DIGESTS[k])
+    assert not changed, f"flat-day artifacts changed: {changed}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from conftest import FLAT_DAY_YAML
 
 from fleetdr.errors import ConfigError, DataError
 from fleetdr.fleet import N_SLOTS
@@ -21,6 +25,7 @@ from fleetdr.market import (
     synth_prices,
     water_fill,
 )
+from fleetdr.scenario import build_scenario, load_config
 
 profiles = arrays(np.float64, (N_SLOTS,),
                   elements=st.floats(min_value=0.0, max_value=500.0))
@@ -246,3 +251,24 @@ def test_market_day_bundle_round_trip(tmp_path):
     assert np.allclose(back.da_prices.values, day.da_prices.values, atol=1e-9)
     assert np.allclose(back.rt_prices.values, day.rt_prices.values, atol=1e-9)
     assert np.allclose(back.da_profile, day.da_profile, atol=1e-6)
+
+
+# sha256 of the market bundle of configs/flat_day.yaml; its real-time
+# prices carry no noise, so they equal the day-ahead ones
+FLAT_DAY_BUNDLE_DIGESTS = {
+    "da_prices.csv":
+        "3b1bd0e25f16d01b5102e571ba06c144974964ca865cb5649ce0416fea686ae8",
+    "rt_prices.csv":
+        "3b1bd0e25f16d01b5102e571ba06c144974964ca865cb5649ce0416fea686ae8",
+    "da_profile.csv":
+        "f25228c24683aae0f401b701421ffea9aac7035eb5d93af48ad4d1a88ea6a746",
+}
+
+
+def test_market_bundle_matches_pinned_digests(tmp_path):
+    save_market_day(build_scenario(load_config(FLAT_DAY_YAML)).market,
+                    tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in FLAT_DAY_BUNDLE_DIGESTS}
+    changed = sorted(n for n in got if got[n] != FLAT_DAY_BUNDLE_DIGESTS[n])
+    assert not changed, f"market bundle changed: {changed}"
