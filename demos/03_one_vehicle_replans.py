@@ -27,9 +27,9 @@ def hour_label(slot):
     return f"{(11 + slot) % 24:02d}:00"
 
 
-def show_plan(label, slots, x):
+def show_plan(label, first, x):
     cells = " ".join(f"{v:+5.1f}" for v in x)
-    print(f"  {label:<26} {hour_label(slots[0])}-{hour_label(slots[-1])}"
+    print(f"  {label:<26} {hour_label(first)}-{hour_label(first + len(x) - 1)}"
           f"  [{cells}]")
 
 
@@ -51,16 +51,17 @@ def scene_shift():
     signal = np.zeros(24)
     signal[7:13] = [0.3, 0.2, -0.2, -0.1, 0.05, 0.15]
 
-    calm = solve(build_subproblem(car, signal))
-    show_plan("day-ahead plan:", car.window_slots(), calm.x)
+    plan = build_subproblem(car, signal)
+    calm = solve(plan)
+    show_plan("day-ahead plan:", plan.first, calm.x)
 
     # 19:00 and 20:00 played out as planned; then 21:00 spikes
     history = [float(v) for v in calm.x[:2]]
     sub = build_subproblem(car, signal, lam=0.5, history=history,
                            t0_sign=+1, t0_term_scale=SPIKE_WEIGHT)
     sol = solve(sub)
-    show_plan("replanned at 21:00:", sub.slots, sol.x)
-    moved_to = sub.slots[int(np.argmax(sol.x - calm.x[2:]))]
+    show_plan("replanned at 21:00:", sub.first, sol.x)
+    moved_to = sub.first + int(np.argmax(sol.x - calm.x[2:]))
     print(f"  the 21:00 charge ({calm.x[2]:+.1f} kWh) moved to "
           f"{hour_label(moved_to)}; nothing was lost, only delayed")
     check_oracle(sub, sol)
@@ -81,7 +82,7 @@ def scene_sell():
     sub = build_subproblem(car, signal, lam=0.5, history=history,
                            t0_sign=+1, t0_term_scale=SPIKE_WEIGHT)
     sol = solve(sub)
-    show_plan("replanned at 21:00:", sub.slots, sol.x)
+    show_plan("replanned at 21:00:", sub.first, sol.x)
     print(f"  it discharges {-sol.x[0]:.1f} kWh into the spike, buys it "
           "back over the next two hours,")
     print("  and resells a chunk at the pricier end of the night -- "
@@ -101,7 +102,7 @@ def scene_reserve():
 
     sub = build_subproblem(car, signal)
     sol = solve(sub)
-    show_plan("constrained optimum:", sub.slots, sol.x)
+    show_plan("constrained optimum:", sub.first, sol.x)
     soc = car.initial_soc + np.cumsum(sol.x)
     reserve = 0.2 * car.capacity
     print("  state of charge:", "  ".join(f"{v:4.1f}" for v in soc),

@@ -68,11 +68,11 @@ def audit(fleet, pev):
     bad = 0
     for idx, prof in enumerate(fleet):
         x = pev[idx]
-        slots = prof.window_slots()
+        window = x[prof.window]
         ok = (abs(x.sum() - prof.required_energy) <= 1e-6
               and np.all(np.abs(x) <= prof.rate + 1e-6)
-              and np.all(x[~prof.window_mask()] == 0.0))
-        soc = prof.initial_soc + np.cumsum([x[s - 1] for s in slots])
+              and np.count_nonzero(window) == np.count_nonzero(x))
+        soc = prof.initial_soc + np.cumsum(window)
         ok = ok and np.all(soc >= 0.2 * prof.capacity - 1e-6)
         ok = ok and np.all(soc <= prof.capacity + 1e-6)
         bad += not ok

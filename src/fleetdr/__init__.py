@@ -13,7 +13,6 @@ from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
                           real_time_walk, shape_day_ahead, simulate_day)
 from .subproblem import (SubproblemSolution, UserSubproblem,
                          build_subproblem, check_feasible, solve)
-from .report import (CaseComparison, CaseConfig, CaseResult, emit,
-                     profile_mse, run_cases)
+from .report import CaseComparison, CaseConfig, CaseResult, emit, run_cases
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,29 +124,6 @@ class PevProfile:
     def window_slots(self) -> List[int]:
         """Connected slots in causal order (arrival first), 1-based."""
         return list(range(self.arrival_slot, self.departure_slot + 1))
-
-    def window_mask(self) -> np.ndarray:
-        """Boolean (24,) mask of connected slots."""
-        mask = np.zeros(N_SLOTS, dtype=bool)
-        mask[self.window] = True
-        return mask
-
-
-def required_energy(rate: float, charging_hours: float) -> float:
-    """Energy demand implied by an outlet rate and a nominal charging time.
-
-    Args:
-        rate: outlet power, kW (must be > 0).
-        charging_hours: nominal time-to-charge, hours (must be >= 0).
-
-    Returns:
-        rate * charging_hours, in kWh.
-    """
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
-    if charging_hours < 0:
-        raise ConfigError(f"charging_hours must be >= 0, got {charging_hours}")
-    return rate * charging_hours
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +337,7 @@ def sample_fleet(spec: FleetSpec, seed: int) -> List[PevProfile]:
             rate=spec.rate_kw,
             v2g=bool(v2g_draw[i] < spec.v2g_fraction),
         )
-        e_raw = required_energy(spec.rate_kw, max(0.0, float(hours[i])))
+        e_raw = spec.rate_kw * max(0.0, float(hours[i]))
         headroom = spec.capacity_kwh - soc0
         window_cap = spec.rate_kw * prof.window_length()
         e = min(e_raw, headroom, window_cap)
@@ -452,11 +429,12 @@ def greedy_schedule(profile: PevProfile) -> np.ndarray:
     """Plug-and-charge schedule: full rate from arrival until E is delivered."""
     x = np.zeros(N_SLOTS)
     remaining = profile.required_energy
-    for s in profile.window_slots():
+    window = profile.window
+    for i in range(window.start, window.stop):
         if remaining <= 1e-12:
             break
         amount = min(profile.rate, remaining)
-        x[s - 1] = amount
+        x[i] = amount
         remaining -= amount
     return x
 
@@ -472,16 +450,52 @@ def uncoordinated_profile(fleet: Sequence[PevProfile]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV import/export
 
-def write_fleet_csv(fleet: Iterable[PevProfile], path) -> None:
-    """Write a fleet to CSV (slots as integers, energies with 3 decimals)."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file: the ``header`` row, then ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(FLEET_CSV_HEADER)
-        for p in fleet:
-            writer.writerow([p.user_id, p.arrival_slot, p.departure_slot,
-                             f"{p.required_energy:.3f}", f"{p.capacity:.3f}",
-                             f"{p.initial_soc:.3f}", f"{p.rate:.3f}",
-                             int(p.v2g)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header: List[str]) -> Iterator[Tuple[int, List[str]]]:
+    """Yield ``(row_no, fields)`` for each non-blank row of a CSV file that
+    starts with ``header``; rows are numbered from 2, after the header.
+
+    Raises DataError naming the path on an empty file or a bad header, and
+    the row too on a row whose field count differs from the header's.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        head = next(reader, None)
+        if head is None:
+            raise DataError(f"{path}: empty file")
+        if head != header:
+            raise DataError(f"{path}: bad header {head!r}; expected "
+                            f"{header!r}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {row_no}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+            yield row_no, row
+
+
+def write_slot_csv(path, header: Sequence[str], *columns) -> None:
+    """Write a 24-row table: each slot, then every column's value at that
+    slot with 6 decimals."""
+    write_csv(path, header, ([s, *(f"{c[s - 1]:.6f}" for c in columns)]
+                             for s in range(1, N_SLOTS + 1)))
+
+
+def write_fleet_csv(fleet: Iterable[PevProfile], path) -> None:
+    """Write a fleet to CSV (slots as integers, energies with 3 decimals)."""
+    write_csv(path, FLEET_CSV_HEADER, (
+        [p.user_id, p.arrival_slot, p.departure_slot,
+         *(f"{v:.3f}" for v in (p.required_energy, p.capacity,
+                                p.initial_soc, p.rate)),
+         int(p.v2g)] for p in fleet))
 
 
 def read_fleet_csv(path) -> List[PevProfile]:
@@ -490,36 +504,17 @@ def read_fleet_csv(path) -> List[PevProfile]:
     Raises DataError naming the offending row on malformed input.
     """
     fleet = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for row_no, row in read_csv(path, FLEET_CSV_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty fleet file") from None
-        if header != FLEET_CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}; expected "
-                            f"{FLEET_CSV_HEADER!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(FLEET_CSV_HEADER):
-                raise DataError(f"{path}: row {row_no}: expected "
-                                f"{len(FLEET_CSV_HEADER)} fields, got {len(row)}")
-            try:
-                prof = PevProfile(
-                    user_id=int(row[0]),
-                    arrival_slot=int(row[1]),
-                    departure_slot=int(row[2]),
-                    required_energy=float(row[3]),
-                    capacity=float(row[4]),
-                    initial_soc=float(row[5]),
-                    rate=float(row[6]),
-                    v2g=bool(int(row[7])),
-                )
-                prof.validate()
-            except (ValueError, ConfigError) as exc:
-                raise DataError(f"{path}: row {row_no}: {exc}") from None
-            fleet.append(prof)
+            v2g = int(row[7])
+            if v2g not in (0, 1):
+                raise ValueError("v2g must be 0 or 1")
+            prof = PevProfile(*map(int, row[:3]), *map(float, row[3:7]),
+                              v2g=bool(v2g))
+            prof.validate()
+        except (ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: row {row_no}: {exc}") from None
+        fleet.append(prof)
     ids = [p.user_id for p in fleet]
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate user_id values")

@@ -10,14 +10,13 @@ consumption from that profile settles at real-time prices, symmetrically
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fleet import N_SLOTS, as_profile
+from .fleet import N_SLOTS, as_profile, read_csv, write_slot_csv
 
 PRICE_CSV_HEADER = ["slot", "price_per_mwh"]
 PROFILE_CSV_HEADER = ["slot", "kwh"]
@@ -198,51 +197,29 @@ def water_fill(household_agg, energy: float, mask=None) -> np.ndarray:
 def _read_slot_csv(path, header) -> np.ndarray:
     """Read a 24-row ``slot,value`` CSV into its values in slot order.
 
-    Validates the header, slot coverage (each of 1..24 exactly once) and
-    that every value is a finite number >= 0; errors name the path and the
-    offending row.
+    On top of :func:`~fleetdr.fleet.read_csv`'s layout checks, validates
+    slot coverage (each of 1..24 exactly once) and that every value is a
+    finite number >= 0; errors name the path and the offending row.
     """
     seen: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for row_no, row in read_csv(path, header):
         try:
-            head = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if head != header:
-            raise DataError(f"{path}: bad header {head!r}; expected "
-                            f"{header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: row {row_no}: expected 2 fields, "
-                                f"got {len(row)}")
-            try:
-                slot = int(row[0])
-                value = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}: row {row_no}: non-numeric value") from None
-            if not 1 <= slot <= N_SLOTS:
-                raise DataError(f"{path}: row {row_no}: slot {slot} out of 1..{N_SLOTS}")
-            if slot in seen:
-                raise DataError(f"{path}: row {row_no}: duplicate slot {slot}")
-            if not (math.isfinite(value) and value >= 0):
-                raise DataError(f"{path}: row {row_no}: {header[1]} must be "
-                                f"finite and >= 0, got {row[1]}")
-            seen[slot] = value
+            slot = int(row[0])
+            value = float(row[1])
+        except ValueError:
+            raise DataError(f"{path}: row {row_no}: non-numeric value") from None
+        if not 1 <= slot <= N_SLOTS:
+            raise DataError(f"{path}: row {row_no}: slot {slot} out of 1..{N_SLOTS}")
+        if slot in seen:
+            raise DataError(f"{path}: row {row_no}: duplicate slot {slot}")
+        if not (math.isfinite(value) and value >= 0):
+            raise DataError(f"{path}: row {row_no}: {header[1]} must be "
+                            f"finite and >= 0, got {row[1]}")
+        seen[slot] = value
     missing = sorted(set(range(1, N_SLOTS + 1)) - set(seen))
     if missing:
         raise DataError(f"{path}: missing slots {missing}")
     return np.array([seen[s] for s in range(1, N_SLOTS + 1)])
-
-
-def _write_slot_csv(path, header, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in range(1, N_SLOTS + 1):
-            writer.writerow([s, f"{values[s - 1]:.6f}"])
 
 
 def load_prices(path, kind: str) -> PriceSeries:
@@ -253,7 +230,7 @@ def load_prices(path, kind: str) -> PriceSeries:
 
 def save_prices(series: PriceSeries, path) -> None:
     """Write a price series back to the $/MWh CSV format."""
-    _write_slot_csv(path, PRICE_CSV_HEADER, series.values * 1000.0)
+    write_slot_csv(path, PRICE_CSV_HEADER, series.values * 1000.0)
 
 
 def load_profile_csv(path) -> np.ndarray:
@@ -262,7 +239,7 @@ def load_profile_csv(path) -> np.ndarray:
 
 
 def save_profile_csv(profile, path) -> None:
-    _write_slot_csv(path, PROFILE_CSV_HEADER, as_profile(profile))
+    write_slot_csv(path, PROFILE_CSV_HEADER, as_profile(profile))
 
 
 def load_market_day(directory) -> MarketDay:

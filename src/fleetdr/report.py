@@ -7,7 +7,6 @@ results as deterministic CSV/JSON files ready for plotting.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -18,7 +17,8 @@ import numpy as np
 from .coordinator import (ConvergenceSpec, DayResult, ShapedPlans, cap_value,
                           simulate_day)
 from .errors import ConfigError, DataError
-from .fleet import N_SLOTS, PevProfile, as_profile, uncoordinated_profile
+from .fleet import (N_SLOTS, PevProfile, as_profile, uncoordinated_profile,
+                    write_csv, write_slot_csv)
 from .market import MarketDay, CostBreakdown, procurement_cost
 
 CASE_LABELS = {
@@ -104,11 +104,6 @@ class CaseComparison:
         raise KeyError(f"no case {case} in comparison")
 
 
-def profile_mse(a, b) -> float:
-    """Mean squared slot-wise difference between two load profiles."""
-    return float(np.mean((as_profile(a) - as_profile(b)) ** 2))
-
-
 def _priced(market: MarketDay, purchased: np.ndarray,
             actual: np.ndarray) -> CostBreakdown:
     day = MarketDay(da_prices=market.da_prices, rt_prices=market.rt_prices,
@@ -168,15 +163,6 @@ def _check_profile(name: str, values: np.ndarray) -> None:
         raise DataError(f"{name}: not a finite {N_SLOTS}-slot profile")
 
 
-def _write_aggregate_csv(path: str, actual, purchased) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_CSV_HEADER)
-        for s in range(1, N_SLOTS + 1):
-            writer.writerow([s, f"{actual[s - 1]:.6f}",
-                             f"{purchased[s - 1]:.6f}"])
-
-
 def emit(result, out_dir, meta: dict | None = None) -> List[str]:
     """Write a CaseComparison (or a single DayResult) as files.
 
@@ -190,44 +176,41 @@ def emit(result, out_dir, meta: dict | None = None) -> List[str]:
         for r in result.results:
             _check_profile(f"case {r.case} aggregate", r.aggregate)
             _check_profile(f"case {r.case} purchased", r.purchased)
-        return _emit_comparison(result, out_dir, meta)
-    if isinstance(result, DayResult):
+        write = _emit_comparison
+    elif isinstance(result, DayResult):
         if result.pev.shape[0] == 0:
             raise DataError("empty day result: no vehicles scheduled")
         _check_profile("day aggregate", result.aggregate)
-        return _emit_day(result, out_dir, meta)
-    raise DataError(f"cannot emit a {type(result).__name__}")
-
-
-def _emit_comparison(cases: CaseComparison, out_dir,
-                     meta: dict | None) -> List[str]:
+        write = _emit_day
+    else:
+        raise DataError(f"cannot emit a {type(result).__name__}")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    written: List[str] = []
 
-    path = os.path.join(out_dir, "case_costs.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COSTS_CSV_HEADER)
-        for r in cases.results:
-            writer.writerow([r.case, f"{r.total_cost:.2f}",
-                             f"{r.peak_kwh:.3f}", r.peak_slot])
-    written.append(path)
+    def path(name: str) -> str:
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
 
+    summary = write(result, path)
+    with open(path("summary.json"), "w") as fh:
+        json.dump({**summary, "meta": meta or {}}, fh, sort_keys=True,
+                  indent=2)
+        fh.write("\n")
+    return written
+
+
+def _emit_comparison(cases: CaseComparison, path) -> dict:
+    """Write the comparison's CSV files; returns its summary."""
+    write_csv(path("case_costs.csv"), COSTS_CSV_HEADER,
+              ([r.case, f"{r.total_cost:.2f}", f"{r.peak_kwh:.3f}",
+                r.peak_slot] for r in cases.results))
     for r in cases.results:
-        path = os.path.join(out_dir, f"aggregate_{r.case}.csv")
-        _write_aggregate_csv(path, r.aggregate, r.purchased)
-        written.append(path)
-
-    path = os.path.join(out_dir, "mse_trace.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MSE_CSV_HEADER)
-        for r in cases.results:
-            for sweep, mse in enumerate(r.da_mse_trace, start=1):
-                writer.writerow([r.case, sweep, f"{mse:.12g}"])
-    written.append(path)
-
-    summary = {
+        write_slot_csv(path(f"aggregate_{r.case}.csv"), AGGREGATE_CSV_HEADER,
+                       r.aggregate, r.purchased)
+    write_csv(path("mse_trace.csv"), MSE_CSV_HEADER,
+              ([r.case, sweep, f"{mse:.12g}"] for r in cases.results
+               for sweep, mse in enumerate(r.da_mse_trace, start=1)))
+    return {
         "cases": [{
             "case": r.case,
             "label": r.label,
@@ -242,43 +225,20 @@ def _emit_comparison(cases: CaseComparison, out_dir,
         } for r in cases.results],
         "deltas_usd": {f"{i}-{j}": round(v, 6)
                        for (i, j), v in sorted(cases.deltas.items())},
-        "meta": meta or {},
     }
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    written.append(path)
-    return written
 
 
-def _emit_day(day: DayResult, out_dir, meta: dict | None) -> List[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    path = os.path.join(out_dir, "aggregate.csv")
-    _write_aggregate_csv(path, day.aggregate, day.da_aggregate)
-    written.append(path)
-
-    path = os.path.join(out_dir, "mse_trace.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "mse"])
-        for sweep, mse in enumerate(day.da_mse_trace, start=1):
-            writer.writerow([sweep, f"{mse:.12g}"])
-    written.append(path)
-
-    summary = {
+def _emit_day(day: DayResult, path) -> dict:
+    """Write the day's CSV files; returns its summary."""
+    write_slot_csv(path("aggregate.csv"), AGGREGATE_CSV_HEADER,
+                   day.aggregate, day.da_aggregate)
+    write_csv(path("mse_trace.csv"), ["sweep", "mse"],
+              ([sweep, f"{mse:.12g}"]
+               for sweep, mse in enumerate(day.da_mse_trace, start=1)))
+    return {
         "peak_kwh": round(float(day.aggregate.max()), 6),
         "peak_slot": int(np.argmax(day.aggregate)) + 1,
         "sweeps": day.da_sweeps,
         "converged": day.converged,
         "altered_slots": day.altered_slots,
-        "meta": meta or {},
     }
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    written.append(path)
-    return written

@@ -245,7 +245,6 @@ class Scenario:
     fleet: List[PevProfile]
     household_total: np.ndarray
     market: MarketDay
-    connected_counts: np.ndarray  # vehicles plugged in per slot
 
 
 def connection_counts(fleet: List[PevProfile]) -> np.ndarray:
@@ -296,5 +295,4 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         bid = purchase_profile(fleet, household_total, cfg.purchase)
         market = MarketDay(da_prices=da, rt_prices=rt, da_profile=bid)
     return Scenario(config=cfg, fleet=fleet, household_total=household_total,
-                    market=market,
-                    connected_counts=connection_counts(fleet))
+                    market=market)

@@ -57,22 +57,18 @@ class UserSubproblem:
     """One vehicle's replanning LP over its remaining schedulable slots.
 
     Arrays are indexed by causal position within the remaining window
-    (position 0 = the first slot the vehicle can still change); ``slots``
-    maps positions back to absolute 1-based day slots.
+    (position 0 = the first slot the vehicle can still change, which is day
+    slot ``first``, 1-based).
     """
 
     user_id: int
-    slots: List[int]
+    first: int
     coeff: np.ndarray
     lo: np.ndarray
     up: np.ndarray
     target: float
     min_prefix: float  # every running sum of x must stay >= this
     max_prefix: float = np.inf  # ... and <= this (battery can't overfill)
-
-    @property
-    def n_free(self) -> int:
-        return len(self.slots)
 
 
 @dataclass
@@ -161,7 +157,7 @@ def capped_box(lp: VehicleLp, room: np.ndarray) -> Box:
             f"{lp.target:.3f} kWh owed but the cap's head-room leaves "
             f"{reachable:.3f} kWh reachable", user_id=lp.user_id,
             constraint="demand cap")
-    return Box(lo, up, lo_sum, float(up.sum()), lo_list, (up - lo).tolist())
+    return Box(lo, up, lo_sum, reachable, lo_list, (up - lo).tolist())
 
 
 def t0_term(lam: float, t0_sign: int, t0_term_scale: float) -> float | None:
@@ -203,9 +199,7 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
     if t0 is not None and coeff.size:
         coeff[0] += t0
     return UserSubproblem(
-        user_id=lp.user_id,
-        slots=list(range(lp.free.start + 1, lp.free.stop + 1)),
-        coeff=coeff, lo=box.lo, up=box.up, target=lp.target,
+        user_id=lp.user_id, first=lp.free.start + 1, coeff=coeff, lo=box.lo, up=box.up, target=lp.target,
         min_prefix=lp.min_prefix, max_prefix=lp.max_prefix)
 
 
@@ -213,24 +207,25 @@ def check_feasible(sub: UserSubproblem, x, tol: float = FEAS_TOL) -> List[str]:
     """List every constraint a candidate solution violates (empty = fine)."""
     x = np.asarray(x, dtype=float)
     problems: List[str] = []
-    if x.shape != (sub.n_free,):
-        return [f"shape {x.shape} != ({sub.n_free},)"]
-    for i in range(sub.n_free):
+    k = len(sub.coeff)
+    if x.shape != (k,):
+        return [f"shape {x.shape} != ({k},)"]
+    for i in range(k):
         if x[i] < sub.lo[i] - tol or x[i] > sub.up[i] + tol:
             problems.append(
-                f"slot {sub.slots[i]}: {x[i]:.6f} outside "
+                f"slot {sub.first + i}: {x[i]:.6f} outside "
                 f"[{sub.lo[i]:.6f}, {sub.up[i]:.6f}]")
     if abs(float(x.sum()) - sub.target) > tol:
         problems.append(f"energy {x.sum():.6f} != target {sub.target:.6f}")
     running = np.cumsum(x)
-    for i in range(sub.n_free):
+    for i in range(k):
         if running[i] < sub.min_prefix - tol:
             problems.append(
-                f"slot {sub.slots[i]}: running sum {running[i]:.6f} "
+                f"slot {sub.first + i}: running sum {running[i]:.6f} "
                 f"below floor {sub.min_prefix:.6f}")
         if running[i] > sub.max_prefix + tol:
             problems.append(
-                f"slot {sub.slots[i]}: running sum {running[i]:.6f} "
+                f"slot {sub.first + i}: running sum {running[i]:.6f} "
                 f"above ceiling {sub.max_prefix:.6f}")
     return problems
 
@@ -391,7 +386,7 @@ def brute_force_oracle(sub: UserSubproblem, grid_step: float = 0.1
     :func:`solve`; refuses instances with more than ``MAX_ORACLE_SLOTS``
     free slots to keep runtime honest.
     """
-    k = sub.n_free
+    k = len(sub.coeff)
     if k > MAX_ORACLE_SLOTS:
         raise DataError(
             f"oracle limited to {MAX_ORACLE_SLOTS} free slots, got {k}")
@@ -452,7 +447,7 @@ def brute_force_oracle(sub: UserSubproblem, grid_step: float = 0.1
 def enumerate_oracle(sub: UserSubproblem, grid_step: float = 0.1
                      ) -> SubproblemSolution:
     """Plain exhaustive search over the charge grid; cross-checks the DP."""
-    k = sub.n_free
+    k = len(sub.coeff)
     if k > MAX_ENUM_SLOTS:
         raise DataError(
             f"enumeration limited to {MAX_ENUM_SLOTS} free slots, got {k}")

@@ -1,4 +1,5 @@
-"""Shared fixtures: repo paths and the frozen large-scenario build.
+"""Shared fixtures: repo paths, the frozen large-scenario build and the
+plan audit.
 
 The reference scenario (1000 vehicles) is built once per session and shared
 by every test that only reads it; tests that mutate schedule state build
@@ -7,6 +8,7 @@ their own copies.
 
 import os
 
+import numpy as np
 import pytest
 
 from fleetdr.report import run_cases
@@ -16,6 +18,27 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 REFERENCE_YAML = os.path.join(CONFIG_DIR, "reference.yaml")
 FLAT_DAY_YAML = os.path.join(CONFIG_DIR, "flat_day.yaml")
+
+RESERVE = 0.2  # state-of-charge floor, share of capacity
+
+
+def audit_plan(prof, x, who, tol=1e-6):
+    """Assert that the 24-slot plan ``x`` is physically legal for ``prof``,
+    checked from the profile alone: no load outside the window, every slot
+    inside the rate box (down to -rate for a V2G vehicle), the energy
+    delivered, and the battery kept within [20 %, 100 %] of capacity."""
+    assert np.count_nonzero(x[prof.window]) == np.count_nonzero(x), \
+        f"{who}: load outside its window"
+    low = -prof.rate if prof.v2g else 0.0
+    assert np.all(x >= low - tol), f"{who}: below its rate box"
+    assert np.all(x <= prof.rate + tol), f"{who}: above its rate box"
+    assert abs(x.sum() - prof.required_energy) <= tol, \
+        f"{who}: energy delivered off"
+    soc = prof.initial_soc + np.cumsum(x[prof.window])
+    assert np.all(soc >= RESERVE * prof.capacity - tol), \
+        f"{who}: battery under its reserve"
+    assert np.all(soc <= prof.capacity + tol), \
+        f"{who}: battery above capacity"
 
 
 @pytest.fixture(scope="session")

@@ -13,15 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_YAML
+from conftest import REFERENCE_YAML, audit_plan
 
 from fleetdr.cli import cmd_compare_cases
 from fleetdr.coordinator import ScheduleState, cap_value, shape_day_ahead, simulate_day
 from fleetdr.errors import InfeasibleError
 from fleetdr.fleet import N_SLOTS, uncoordinated_profile
 from fleetdr.market import MarketDay, procurement_cost
-from fleetdr.report import profile_mse
-from fleetdr.scenario import load_config
+from fleetdr.scenario import connection_counts, load_config
 from fleetdr.subproblem import UserSubproblem, brute_force_oracle, check_feasible, solve
 
 GRID_STEP = 0.1            # kWh lattice for the oracle cross-check
@@ -55,7 +54,7 @@ def oracle_instance(rng):
         min_prefix = float(rng.integers(0, 5)) * GRID_STEP
     max_prefix = (min_prefix + float(rng.integers(5, 80)) * GRID_STEP
                   if rng.random() < 0.5 else np.inf)
-    return UserSubproblem(user_id=int(rng.integers(1, 2000)), slots=slots,
+    return UserSubproblem(user_id=int(rng.integers(1, 2000)), first=slots[0],
                           coeff=rng.normal(0.0, 2.0, k), lo=lo, up=up,
                           target=target, min_prefix=min_prefix,
                           max_prefix=max_prefix)
@@ -109,22 +108,8 @@ def test_criterion_2_full_fleet_schedules_obey_constraints(reference_config,
                        trigger=cfg.case.trigger,
                        t0_term_scale=cfg.case.t0_term_scale, cap=cap)
     assert day.pev.shape == (1000, N_SLOTS)
-    for i, prof in enumerate(sc.fleet):
-        x = day.pev[i]
-        assert abs(x.sum() - prof.required_energy) <= FEAS_TOL_KWH, \
-            f"user {prof.user_id}: energy balance off"
-        assert np.all(np.abs(x) <= prof.rate + FEAS_TOL_KWH), \
-            f"user {prof.user_id}: rate limit breached"
-        mask = prof.window_mask()
-        assert np.all(x[~mask] == 0.0), \
-            f"user {prof.user_id}: load outside the connection window"
-        window = [s - 1 for s in prof.window_slots()]
-        soc = prof.initial_soc + np.cumsum(x[window])
-        floor = 0.2 * prof.capacity  # 4.8 kWh on this fleet
-        assert np.all(soc >= floor - FEAS_TOL_KWH), \
-            f"user {prof.user_id}: battery under its reserve"
-        assert np.all(soc <= prof.capacity + FEAS_TOL_KWH), \
-            f"user {prof.user_id}: battery above capacity"
+    for prof, x in zip(sc.fleet, day.pev):
+        audit_plan(prof, x, f"user {prof.user_id}", FEAS_TOL_KWH)
     report(2, f"1000 schedules clean within {FEAS_TOL_KWH} kWh")
 
 
@@ -152,9 +137,9 @@ def test_criterion_4_shaped_tracking_error_halved(reference_scenario,
                                                   reference_cases):
     sc = reference_scenario
     bid = sc.market.da_profile
-    shaped = profile_mse(reference_cases.get(2).purchased, bid)
-    dumb = profile_mse(sc.household_total + uncoordinated_profile(sc.fleet),
-                       bid)
+    shaped = float(np.mean((reference_cases.get(2).purchased - bid) ** 2))
+    dumb = float(np.mean(
+        (sc.household_total + uncoordinated_profile(sc.fleet) - bid) ** 2))
     assert shaped <= 0.5 * dumb, f"shaped {shaped:.1f} vs dumb {dumb:.1f}"
     report(4, f"tracking MSE {shaped:.1f} vs uncoordinated {dumb:.1f} "
               f"({shaped / dumb:.1%})")
@@ -172,7 +157,7 @@ def test_criterion_5_spike_slot_demand_drops(reference_scenario,
     assert rt >= 5.0 * da, f"spike ratio only {rt / da:.1f}x"
     wall_hour = (sc.config.fleet.day_start_hour + spike - 1) % 24
     assert 17 <= wall_hour <= 23, f"spike at {wall_hour}:00 is not evening"
-    connected_share = sc.connected_counts[spike - 1] / len(sc.fleet)
+    connected_share = connection_counts(sc.fleet)[spike - 1] / len(sc.fleet)
     assert connected_share >= 0.35
     before = reference_cases.get(2).aggregate[spike - 1]
     after = reference_cases.get(3).aggregate[spike - 1]

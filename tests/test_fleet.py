@@ -16,7 +16,6 @@ from fleetdr.fleet import (
     greedy_schedule,
     hour_to_slot,
     read_fleet_csv,
-    required_energy,
     sample_fleet,
     uncoordinated_profile,
     write_fleet_csv,
@@ -71,8 +70,7 @@ def test_window_contiguous():
     p = make_profile(arrival_slot=5, departure_slot=9)
     assert p.window_length() == 5
     assert p.window_slots() == [5, 6, 7, 8, 9]
-    mask = p.window_mask()
-    assert mask.sum() == 5 and mask[4] and mask[8] and not mask[3]
+    assert p.window == slice(4, 9)
 
 
 def test_validate_accepts_sane_profile():
@@ -98,15 +96,6 @@ def test_validate_accepts_sane_profile():
 def test_validate_rejects(kw):
     with pytest.raises(ConfigError):
         make_profile(**kw).validate()
-
-
-def test_required_energy():
-    assert required_energy(1.8, 5.0) == pytest.approx(9.0)
-    assert required_energy(1.8, 0.0) == 0.0
-    with pytest.raises(ConfigError):
-        required_energy(0.0, 5.0)
-    with pytest.raises(ConfigError):
-        required_energy(1.8, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +283,7 @@ def test_greedy_schedule_fills_from_arrival():
     x = greedy_schedule(p)
     assert np.allclose(x[[2, 3, 4]], [1.8, 1.8, 1.4])
     assert x.sum() == pytest.approx(5.0)
-    assert np.all(x[~p.window_mask()] == 0.0)
+    assert np.count_nonzero(x[p.window]) == np.count_nonzero(x)
 
 
 def test_greedy_schedule_zero_energy():
@@ -307,7 +296,7 @@ def test_greedy_schedule_properties_across_fleet():
         x = greedy_schedule(p)
         assert x.sum() == pytest.approx(p.required_energy, abs=1e-9)
         assert x.max() <= p.rate + 1e-12
-        assert np.all(x[~p.window_mask()] == 0.0)
+        assert np.count_nonzero(x[p.window]) == np.count_nonzero(x)
 
 
 def test_uncoordinated_profile_is_sum_of_schedules():
@@ -349,6 +338,9 @@ def test_fleet_csv_round_trip(tmp_path):
     path2 = tmp_path / "fleet2.csv"
     write_fleet_csv(back, path2)
     assert read_fleet_csv(path2) == back
+    # blank rows are skipped
+    path2.write_text(path2.read_text().replace("\n", "\n\n"))
+    assert read_fleet_csv(path2) == back
 
 
 def test_fleet_csv_rejects_bad_header(tmp_path):
@@ -379,7 +371,9 @@ def test_fleet_csv_rejects_bad_value_with_row_number(tmp_path):
     lines = path.read_text().splitlines()
     for column, value, why in ((3, "not-a-number", "convert"),
                                (3, "nan", "finite"), (6, "inf", "finite"),
-                               (1, "24", "wraps")):  # arrives after leaving
+                               (1, "24", "wraps"),  # arrives after leaving
+                               (7, "2", "v2g must be 0 or 1"),
+                               (7, "-1", "v2g must be 0 or 1")):
         row = lines[2].split(",")
         row[column] = value
         path.write_text("\n".join([*lines[:2], ",".join(row), *lines[3:]])

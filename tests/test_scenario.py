@@ -247,7 +247,7 @@ def test_reference_scenario_shape(reference_scenario):
     sc = reference_scenario
     assert len(sc.fleet) == 1000
     assert sc.household_total.shape == (N_SLOTS,)
-    assert sc.connected_counts.max() <= 1000
+    assert connection_counts(sc.fleet).max() <= 1000
     # the purchase block sits at the spike slot
     spike_slot = sc.config.market_synth.spike.slot
     assert sc.market.da_profile[spike_slot - 1] > \

@@ -26,7 +26,7 @@ def make_profile(**kw):
 
 
 def make_sub(**kw):
-    base = dict(user_id=1, slots=[3, 4, 5], coeff=np.array([1.0, -1.0, 0.5]),
+    base = dict(user_id=1, first=3, coeff=np.array([1.0, -1.0, 0.5]),
                 lo=np.zeros(3), up=np.full(3, 1.8), target=1.8,
                 min_prefix=-10.0, max_prefix=np.inf)
     base.update(kw)
@@ -40,7 +40,7 @@ def test_build_prices_lam_weighted_signal():
     prof = make_profile(arrival_slot=2, departure_slot=4, required_energy=3.6)
     signal = np.arange(24, dtype=float)
     sub = build_subproblem(prof, signal, lam=1.0)
-    assert sub.slots == [2, 3, 4]
+    assert sub.first == 2
     assert np.allclose(sub.coeff, [1.0, 2.0, 3.0])
     half = build_subproblem(prof, signal, lam=0.5)
     assert np.allclose(half.coeff, [0.5, 1.0, 1.5])
@@ -76,7 +76,7 @@ def test_build_no_spike_term_at_full_price_weight():
 def test_build_history_freezes_early_slots():
     prof = make_profile(arrival_slot=5, departure_slot=12, required_energy=7.2)
     sub = build_subproblem(prof, np.zeros(24), history=[1.8, 1.8])
-    assert sub.slots == [7, 8, 9, 10, 11, 12]
+    assert sub.first == 7 and len(sub.coeff) == 6
     assert sub.target == pytest.approx(7.2 - 3.6)
     # SOC band is relative to the post-history state of charge
     assert sub.min_prefix == pytest.approx(4.8 - (8.4 + 3.6))
@@ -157,11 +157,11 @@ def test_solve_picks_cheapest_slots():
 
 
 def test_solve_empty_window():
-    sub = make_sub(slots=[], coeff=np.zeros(0), lo=np.zeros(0),
+    sub = make_sub(coeff=np.zeros(0), lo=np.zeros(0),
                    up=np.zeros(0), target=0.0)
     sol = solve(sub)
     assert sol.method == "empty" and sol.objective == 0.0
-    owing = make_sub(slots=[], coeff=np.zeros(0), lo=np.zeros(0),
+    owing = make_sub(coeff=np.zeros(0), lo=np.zeros(0),
                      up=np.zeros(0), target=1.0)
     with pytest.raises(InfeasibleError, match="owed"):
         solve(owing)
@@ -200,7 +200,7 @@ def test_solve_soc_ceiling_forces_exact():
 def test_solve_tied_slots_do_not_cycle_the_battery():
     # equal prices make any charge-then-discharge pair cost nothing; the
     # ceiling fails the greedy fill, and the exact path must stay idle
-    sub = make_sub(slots=[3, 4], coeff=np.array([1.0, 1.0]),
+    sub = make_sub(coeff=np.array([1.0, 1.0]),
                    lo=np.full(2, -1.8), up=np.full(2, 1.8),
                    target=0.0, min_prefix=-10.0, max_prefix=1.0)
     sol = solve(sub)
@@ -221,11 +221,11 @@ def test_solve_reserve_breach_is_infeasible():
 # oracle guards
 
 def test_oracle_slot_limits():
-    big = make_sub(slots=list(range(1, 8)), coeff=np.zeros(7),
+    big = make_sub(first=1, coeff=np.zeros(7),
                    lo=np.zeros(7), up=np.full(7, 1.8), target=0.0)
     with pytest.raises(DataError):
         brute_force_oracle(big)
-    four = make_sub(slots=[1, 2, 3, 4], coeff=np.zeros(4), lo=np.zeros(4),
+    four = make_sub(first=1, coeff=np.zeros(4), lo=np.zeros(4),
                     up=np.full(4, 1.8), target=0.0)
     with pytest.raises(DataError):
         enumerate_oracle(four)
@@ -261,7 +261,7 @@ def random_sub(rng, max_slots=6):
     else:
         max_prefix = np.inf
     return UserSubproblem(
-        user_id=int(rng.integers(1, 1000)), slots=slots,
+        user_id=int(rng.integers(1, 1000)), first=slots[0],
         coeff=rng.normal(0.0, 2.0, k), lo=lo, up=up, target=target,
         min_prefix=min_prefix, max_prefix=max_prefix)
 
@@ -323,7 +323,7 @@ def band_instance(rng):
                          0.0, 24.0))
     floor, ceiling = 4.8 - soc0, 24.0 - soc0
     return UserSubproblem(
-        user_id=int(rng.integers(1, 1000)), slots=list(range(1, k + 1)),
+        user_id=int(rng.integers(1, 1000)), first=1,
         coeff=rng.normal(0.0, 2.0, k), lo=lo, up=up,
         target=rng.uniform(max(floor, -4.0) - 0.5, min(ceiling, 8.0) + 0.5),
         min_prefix=floor, max_prefix=ceiling)
@@ -343,7 +343,7 @@ def highs_batch(subs):
     """
     blocks, rhs = [], []
     for sub in subs:
-        k = sub.n_free
+        k = len(sub.coeff)
         L = np.tril(np.ones((k, k)))
         one = np.ones((1, k))
         blocks.append(np.vstack([-L, L, one, -one]))
@@ -369,9 +369,9 @@ def highs_batch(subs):
     assert best.status == 0, best.message
     out, pos = [], 0
     for sub, ok in zip(subs, feasible):
-        x = best.x[pos:pos + sub.n_free]
+        x = best.x[pos:pos + len(sub.coeff)]
         out.append(float(sub.coeff @ x) if ok else None)
-        pos += sub.n_free
+        pos += len(sub.coeff)
     return out
 
 

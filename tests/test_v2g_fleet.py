@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_YAML
+from conftest import REFERENCE_YAML, audit_plan
 
 import fleetdr.report as report
 from fleetdr.cli import cmd_compare_cases
@@ -17,7 +17,6 @@ from fleetdr.errors import InfeasibleError
 from fleetdr.scenario import build_scenario, load_config
 
 TOL_KWH = 1e-6
-RESERVE = 0.2  # state-of-charge floor, share of capacity
 
 # The same seed at 100 and 300 vehicles meets the demand cap's false
 # infeasible verdict: the first sweep hands the cap's head-room to early
@@ -58,21 +57,7 @@ def test_half_v2g_fleet_plans_are_legal(n_users, monkeypatch):
     assert len(days) == 3  # cases 2, 3 and 4
     for case, day in zip((2, 3, 4), days):
         for prof, x in zip(sc.fleet, day.pev):
-            who = f"case {case}, user {prof.user_id}"
-            window = np.array(prof.window_slots()) - 1
-            outside = np.delete(x, window)
-            assert np.all(outside == 0.0), f"{who}: load outside its window"
-            low = -prof.rate if prof.v2g else 0.0
-            assert np.all(x >= low - TOL_KWH), f"{who}: below its rate box"
-            assert np.all(x <= prof.rate + TOL_KWH), \
-                f"{who}: above its rate box"
-            assert abs(x.sum() - prof.required_energy) <= TOL_KWH, \
-                f"{who}: energy delivered off"
-            soc = prof.initial_soc + np.cumsum(x[window])
-            assert np.all(soc >= RESERVE * prof.capacity - TOL_KWH), \
-                f"{who}: battery under its reserve"
-            assert np.all(soc <= prof.capacity + TOL_KWH), \
-                f"{who}: battery above capacity"
+            audit_plan(prof, x, f"case {case}, user {prof.user_id}", TOL_KWH)
     assert np.all(cases.get(4).aggregate <= cap + TOL_KWH)
 
 
