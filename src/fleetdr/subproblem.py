@@ -88,11 +88,12 @@ class Box(NamedTuple):
     up_sum: float
     lo_list: List[float]
     width: List[float]  # up - lo
+    least_room: np.ndarray  # lo - FEAS_TOL, the head-room a cap must leave
 
 
 def _box(lo: np.ndarray, up: np.ndarray) -> Box:
     return Box(lo, up, float(lo.sum()), float(up.sum()), lo.tolist(),
-               (up - lo).tolist())
+               (up - lo).tolist(), lo - FEAS_TOL)
 
 
 class VehicleLp(NamedTuple):
@@ -144,9 +145,9 @@ def capped_box(lp: VehicleLp, room: np.ndarray) -> Box:
     below the box's lower bound at a free slot, or falls short of an energy
     target the box alone reaches.
     """
-    lo, up, lo_sum, _, lo_list, _ = lp.box
+    lo, up, lo_sum, _, lo_list, _, least_room = lp.box
     up = np.minimum(up, room[lp.free])
-    if (up < lo - FEAS_TOL).any():
+    if True in (up < least_room).tolist():  # cheaper than .any() here
         raise InfeasibleError(
             "demand cap leaves no room at a connected slot",
             user_id=lp.user_id, constraint="demand cap")
@@ -157,7 +158,8 @@ def capped_box(lp: VehicleLp, room: np.ndarray) -> Box:
             f"{lp.target:.3f} kWh owed but the cap's head-room leaves "
             f"{reachable:.3f} kWh reachable", user_id=lp.user_id,
             constraint="demand cap")
-    return Box(lo, up, lo_sum, reachable, lo_list, (up - lo).tolist())
+    return Box(lo, up, lo_sum, reachable, lo_list, (up - lo).tolist(),
+               least_room)
 
 
 def t0_term(lam: float, t0_sign: int, t0_term_scale: float) -> float | None:
@@ -258,49 +260,71 @@ def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
     backtrack picks, slot by slot, the cheapest predecessor sum that the
     slot's box can reach, and on a flat stretch the one that moves the slot
     least, so tied optima never charge and discharge for zero gain.
+
+    Of the cost before each slot, the backtrack reads four sums: where the
+    interval starts, where the pieces cheaper than the slot's price end,
+    where the pieces tied with it end, and where the interval ends. The
+    forward pass takes them as it goes and keeps no copy of the pieces.
+    Each sum adds the lengths in list order from 0. A right trim can leave
+    an equal-slope group's lengths out of order, so the pieces stay (slope,
+    length) tuples and a new piece goes where the tuple bisect puts it;
+    that keeps the order, and so every sum's rounding, as it always was.
     """
     start = 0.0
     pieces: List[tuple[float, float]] = []
-    stages = []  # (start, pieces) of the cost before each slot
-    for i in range(len(lo)):
-        stages.append((start, pieces.copy()))
+    lens: List[float] = []  # the pieces' lengths, in the same order
+    total = 0  # sum(lens)
+    stages = []  # (start, cheap_end, tie_end, end) before each slot
+    for i, c in enumerate(coeff):
+        # (c,) sorts before every piece of slope c, (c, inf) after them all
+        j = bisect.bisect_left(pieces, (c,))
+        cheap_end = start + sum(lens[:j])
+        tie_end = cheap_end + sum(
+            lens[j:bisect.bisect_right(pieces, (c, np.inf), j)])
+        stages.append((start, cheap_end, tie_end, start + total))
         start += lo[i]
         if up[i] > lo[i]:
-            bisect.insort(pieces, (coeff[i], up[i] - lo[i]))
+            piece = (c, up[i] - lo[i])
+            j = bisect.bisect_right(pieces, piece)
+            pieces.insert(j, piece)
+            lens.insert(j, piece[1])
         if start < floor:
             cut = floor - start
-            while pieces and pieces[0][1] <= cut:
-                cut -= pieces.pop(0)[1]
-            if pieces:
-                pieces[0] = (pieces[0][0], pieces[0][1] - cut)
+            while lens and lens[0] <= cut:
+                cut -= lens.pop(0)
+                del pieces[0]
+            if lens:
+                lens[0] -= cut
+                pieces[0] = (pieces[0][0], lens[0])
             elif cut > FEAS_TOL:
                 return None
             start = floor
-        end = start + sum(length for _, length in pieces)
+        total = sum(lens)
+        end = start + total
         if end > ceiling:
             cut = end - ceiling
-            while pieces and pieces[-1][1] <= cut:
-                cut -= pieces.pop()[1]
-            if pieces:
-                pieces[-1] = (pieces[-1][0], pieces[-1][1] - cut)
+            while lens and lens[-1] <= cut:
+                cut -= lens.pop()
+                pieces.pop()
+            if lens:
+                lens[-1] -= cut
+                pieces[-1] = (pieces[-1][0], lens[-1])
             elif cut > FEAS_TOL:
                 return None
-    end = start + sum(length for _, length in pieces)
-    if not start - FEAS_TOL <= target <= end + FEAS_TOL:
+            total = sum(lens)
+    if not start - FEAS_TOL <= target <= start + total + FEAS_TOL:
         return None
 
-    x = np.zeros(len(lo))
+    x = []
     s = target
     for i in range(len(lo) - 1, -1, -1):
-        start, pieces = stages[i]
-        cheaper = sum(length for slope, length in pieces if slope < coeff[i])
-        tied = sum(length for slope, length in pieces if slope == coeff[i])
-        end = start + sum(length for _, length in pieces)
-        best = min(max(s, start + cheaper), start + cheaper + tied)
+        start, cheap_end, tie_end, end = stages[i]
+        best = min(max(s, cheap_end), tie_end)
         prev = min(max(best, start, s - up[i]), end, s - lo[i])
-        x[i] = s - prev
+        x.append(s - prev)
         s = prev
-    return x
+    x.reverse()
+    return np.array(x)
 
 
 def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
@@ -315,7 +339,7 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
     that certificate lets most solves skip the exact prefix-band program.
     Raises ``InfeasibleError`` naming the binding constraint.
     """
-    _, up, lo_sum, up_sum, lo_list, width = box
+    _, up, lo_sum, up_sum, lo_list, width, _ = box
     target = lp.target
     if not lo_list:
         if abs(target) > FEAS_TOL:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
@@ -225,9 +226,11 @@ def test_bad_yaml_exits_config(tmp_path, capsys):
 
 def test_unknown_config_key_exits_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml")
-    raw = yaml.safe_load(open(cfg))
+    with open(cfg) as fh:
+        raw = yaml.safe_load(fh)
     raw["typo_key"] = 1
-    yaml.safe_dump(raw, open(cfg, "w"))
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(raw, fh)
     assert main(["simulate", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
@@ -244,19 +247,23 @@ def test_unknown_config_key_exits_config(tmp_path, capsys):
 def test_mistyped_config_value_exits_config(tmp_path, capsys, section, key,
                                             value, where):
     cfg = write_config(tmp_path / "cfg.yaml")
-    raw = yaml.safe_load(open(cfg))
+    with open(cfg) as fh:
+        raw = yaml.safe_load(fh)
     raw[section][key] = value
-    yaml.safe_dump(raw, open(cfg, "w"))
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(raw, fh)
     assert main(["gen-fleet", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"{where}: expected" in capsys.readouterr().err
 
 
 def flat_day_with_fleet(tmp_path, **fleet):
-    raw = yaml.safe_load(open(FLAT_DAY_YAML))
+    with open(FLAT_DAY_YAML) as fh:
+        raw = yaml.safe_load(fh)
     raw["fleet"].update(fleet)
     path = tmp_path / "cfg.yaml"
-    yaml.safe_dump(raw, open(path, "w"))
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
     return str(path)
 
 

@@ -6,6 +6,7 @@ from scipy.sparse import block_diag, hstack
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.subproblem import (
+    FEAS_TOL,
     UserSubproblem,
     brute_force_oracle,
     build_subproblem,
@@ -105,6 +106,24 @@ def test_build_slot_cap_without_room_raises():
     with pytest.raises(InfeasibleError) as err:
         build_subproblem(prof, np.zeros(24), slot_cap=cap)
     assert err.value.user_id == 1
+
+
+@pytest.mark.parametrize("v2g, lo", [(False, 0.0), (True, -1.8)])
+def test_build_slot_cap_head_room_tolerance_edge(v2g, lo):
+    # head-room at slot 3 down to the box's lower bound less FEAS_TOL still
+    # fits, and the capped box still reaches the 1.8 kWh target
+    prof = make_profile(arrival_slot=2, departure_slot=4, required_energy=1.8,
+                        v2g=v2g)
+    cap = np.full(24, 10.0)
+    cap[2] = lo - FEAS_TOL
+    sub = build_subproblem(prof, np.zeros(24), slot_cap=cap)
+    assert sub.up.tolist() == [1.8, lo, 1.8]
+    cap[2] = np.nextafter(lo - FEAS_TOL, -np.inf)
+    with pytest.raises(InfeasibleError) as err:
+        build_subproblem(prof, np.zeros(24), slot_cap=cap)
+    assert (err.value.user_id, err.value.constraint) == (1, "demand cap")
+    assert str(err.value) == ("user 1: [demand cap] demand cap leaves no "
+                              "room at a connected slot")
 
 
 def test_build_slot_cap_short_of_target_names_the_cap():
