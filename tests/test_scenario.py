@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -252,3 +255,41 @@ def test_reference_scenario_shape(reference_scenario):
     spike_slot = sc.config.market_synth.spike.slot
     assert sc.market.da_profile[spike_slot - 1] > \
         sc.household_total[spike_slot - 1] + 400.0
+
+
+def setup_digest(sc) -> str:
+    """SHA-256 of a built scenario at full precision: every profile field
+    by ``repr`` (so its type too), then the household total, both price
+    series and the purchase as raw float64 bytes."""
+    h = hashlib.sha256()
+    for prof in sc.fleet:
+        for f in dataclasses.fields(prof):
+            h.update(repr(getattr(prof, f.name)).encode())
+            h.update(b",")
+        h.update(b"\n")
+    for arr in (sc.household_total, sc.market.da_prices.values,
+                sc.market.rt_prices.values, sc.market.da_profile):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# the artifact digests round to 6 decimals; these see a last-bit change
+@pytest.mark.parametrize("seed, v2g_fraction, digest", [
+    (20250401, 0.0,
+     "e6d899f5dbd07ee2ba49df7c09767d51bd31ed2e2a271d71e9ffa51579678052"),
+    (20250401, 0.5,
+     "7087df0a65aa09848ef7279205cf173a96c97d6753940096b74735f0d506d156"),
+    (20250401, 1.0,
+     "32578c162d0f038a103938c801c3bdebef833e774956cdf9929f1a92d232e060"),
+    (7, 0.0,
+     "0a6b1420e1bd9b461abd45976d6593b5dc5ce74a585197c5f2ce2d96e24f872e"),
+    (7, 0.5,
+     "c0f9ed8213e169a906c65772d92bd3d29fbab066e69dfb1d419222acb0eab43f"),
+    (7, 1.0,
+     "b763cb9c9e254d7dd56f78d66b7ff0064cac40e3b23dd02aafcc259a8f600a81"),
+])
+def test_build_scenario_is_pinned_bit_for_bit(seed, v2g_fraction, digest):
+    cfg = load_config(REFERENCE_YAML)
+    cfg.seed = seed
+    cfg.fleet.v2g_fraction = v2g_fraction
+    assert setup_digest(build_scenario(cfg)) == digest
