@@ -42,13 +42,17 @@ def _finite_number(v) -> bool:
             and not isinstance(v, bool) and math.isfinite(v))
 
 
-def hour_to_slot(hour: float, day_start_hour: int = 0) -> int:
-    """Map a wall-clock hour (0 <= hour < 24 accepted modulo 24) to a slot index.
+def hour_to_slot(hours, day_start_hour: int = 0) -> np.ndarray:
+    """Map wall-clock hours (taken modulo 24) to slot indices, elementwise.
 
-    Slot s covers wall hours [day_start + s - 1, day_start + s) mod 24, so the
-    instant ``hour`` lands in the slot whose interval contains it.
+    Slot s covers wall hours [day_start + s - 1, day_start + s) mod 24, so
+    each instant lands in the slot whose interval contains it. The floored
+    hour is reduced modulo 24 before the day start is taken off: a float
+    remainder of a whole number is exact, so any finite hour maps as the
+    integer formula ``(floor(hour) - day_start) % 24 + 1`` would map it.
     """
-    return int((math.floor(hour) - day_start_hour) % 24) + 1
+    wrapped = np.floor(np.asarray(hours, dtype=float)) % 24
+    return ((wrapped - day_start_hour) % 24).astype(int) + 1
 
 
 @dataclass
@@ -322,22 +326,24 @@ def sample_fleet(spec: FleetSpec, seed: int) -> List[PevProfile]:
     soc_frac = spec.initial_soc.sample(rng, spec.n_users)
     v2g_draw = rng.random(spec.n_users)
 
+    # per-vehicle arithmetic on the whole draw, taken as Python scalars
+    columns = zip(hour_to_slot(arrivals, spec.day_start_hour).tolist(),
+                  hour_to_slot(departures, spec.day_start_hour).tolist(),
+                  (np.clip(soc_frac, 0.0, 1.0) * spec.capacity_kwh).tolist(),
+                  (v2g_draw < spec.v2g_fraction).tolist(),
+                  (spec.rate_kw * np.maximum(0.0, hours)).tolist())
     fleet = []
-    for i in range(spec.n_users):
-        a = hour_to_slot(arrivals[i], spec.day_start_hour)
-        b = hour_to_slot(departures[i], spec.day_start_hour)
-        soc0 = float(np.clip(soc_frac[i], 0.0, 1.0) * spec.capacity_kwh)
+    for user_id, (a, b, soc0, v2g, e_raw) in enumerate(columns, start=1):
         prof = PevProfile(
-            user_id=i + 1,
+            user_id=user_id,
             arrival_slot=a,
             departure_slot=b,
             required_energy=0.0,
             capacity=spec.capacity_kwh,
             initial_soc=soc0,
             rate=spec.rate_kw,
-            v2g=bool(v2g_draw[i] < spec.v2g_fraction),
+            v2g=v2g,
         )
-        e_raw = spec.rate_kw * max(0.0, float(hours[i]))
         headroom = spec.capacity_kwh - soc0
         window_cap = spec.rate_kw * prof.window_length()
         e = min(e_raw, headroom, window_cap)
@@ -425,26 +431,25 @@ def baseline_household(spec: HouseholdSpec, n_users: int, seed: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 # uncoordinated (plug-and-charge) baseline
 
-def greedy_schedule(profile: PevProfile) -> np.ndarray:
-    """Plug-and-charge schedule: full rate from arrival until E is delivered."""
-    x = np.zeros(N_SLOTS)
-    remaining = profile.required_energy
-    window = profile.window
-    for i in range(window.start, window.stop):
-        if remaining <= 1e-12:
-            break
-        amount = min(profile.rate, remaining)
-        x[i] = amount
-        remaining -= amount
-    return x
-
-
 def uncoordinated_profile(fleet: Sequence[PevProfile]) -> np.ndarray:
-    """Aggregate PEV load (24,) when every user plug-and-charges greedily."""
-    agg = np.zeros(N_SLOTS)
-    for prof in fleet:
-        agg += greedy_schedule(prof)
-    return agg
+    """Aggregate PEV load (24,) when every user plug-and-charges greedily:
+    full rate from arrival until its energy is delivered.
+
+    The fleet charges together, one slot at a time; each vehicle's slot
+    loads make one row, and the rows are summed in fleet order.
+    """
+    n = len(fleet)
+    start = np.fromiter((p.arrival_slot - 1 for p in fleet), int, n)
+    stop = np.fromiter((p.departure_slot for p in fleet), int, n)
+    rate = np.fromiter((p.rate for p in fleet), float, n)
+    remaining = np.fromiter((p.required_energy for p in fleet), float, n)
+    x = np.zeros((n, N_SLOTS))
+    for t in range(N_SLOTS):
+        live = (start <= t) & (t < stop) & (remaining > 1e-12)
+        amount = np.minimum(rate[live], remaining[live])
+        x[live, t] = amount
+        remaining[live] -= amount
+    return x.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,16 @@ def config_digest(cfg: ScenarioConfig) -> str:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario YAML file."""
+    """Parse and validate a scenario YAML file.
+
+    Parsing uses libyaml's safe loader when PyYAML was built with it, and
+    PyYAML's pure-Python safe loader otherwise; both resolve and construct
+    values the same way, so they give the same config.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     try:
@@ -248,11 +254,18 @@ class Scenario:
 
 
 def connection_counts(fleet: List[PevProfile]) -> np.ndarray:
-    """Number of vehicles plugged in at each slot, shape (24,)."""
-    counts = np.zeros(N_SLOTS)
-    for prof in fleet:
-        counts[prof.window] += 1
-    return counts
+    """Number of vehicles plugged in at each slot, shape (24,).
+
+    A window adds one at its arrival index and takes one off just past its
+    departure (index 24 for a window that ends the day); the running sum of
+    these markers is the count.
+    """
+    n = len(fleet)
+    marks = (np.bincount(np.fromiter((p.arrival_slot - 1 for p in fleet),
+                                     int, n), minlength=N_SLOTS + 1)
+             - np.bincount(np.fromiter((p.departure_slot for p in fleet),
+                                       int, n), minlength=N_SLOTS + 1))
+    return np.cumsum(marks[:N_SLOTS]).astype(float)
 
 
 def purchase_profile(fleet: List[PevProfile], household_total,

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from fleetdr.report import run_cases
 from fleetdr.scenario import build_scenario, load_config
@@ -39,6 +40,27 @@ def audit_plan(prof, x, who, tol=1e-6):
         f"{who}: battery under its reserve"
     assert np.all(soc <= prof.capacity + tol), \
         f"{who}: battery above capacity"
+
+
+def with_each_yaml_loader(monkeypatch, parse):
+    """``(parse(), parse())``: first with the YAML loader ``load_config``
+    picks here (libyaml's when PyYAML has it), then with ``CSafeLoader``
+    taken away, so with PyYAML's pure-Python safe loader. Asserts that each
+    parse went through the loader it was meant to."""
+    expected = [getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader]
+    used = []
+    real_load = yaml.load
+
+    def load(stream, Loader):
+        used.append(Loader)
+        return real_load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", load)
+    first = parse()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    second = parse()
+    assert used == expected
+    return first, second
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import FLAT_DAY_YAML, REPO_ROOT
+from conftest import FLAT_DAY_YAML, REPO_ROOT, with_each_yaml_loader
 
 from fleetdr.cli import (
     EXIT_CONFIG,
@@ -222,6 +222,22 @@ def test_bad_yaml_exits_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_yaml_exits_config_on_both_loaders(tmp_path, capsys,
+                                              monkeypatch):
+    path = tmp_path / "broken.yaml"
+    path.write_text("seed: [oops\n")
+
+    def simulate():
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    for code, err in with_each_yaml_loader(monkeypatch, simulate):
+        assert code == EXIT_CONFIG
+        # only the parser's own wording after this prefix may differ
+        assert err.startswith(f"error: {path}: invalid YAML: ")
 
 
 def test_unknown_config_key_exits_config(tmp_path, capsys):

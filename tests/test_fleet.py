@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,6 @@ from fleetdr.fleet import (
     PevProfile,
     as_profile,
     baseline_household,
-    greedy_schedule,
     hour_to_slot,
     read_fleet_csv,
     sample_fleet,
@@ -35,25 +36,28 @@ def make_profile(**kw):
 
 def test_hour_to_slot_noon_start():
     # day starts at noon: slot 1 covers 12:00-13:00
-    assert hour_to_slot(12.0, 12) == 1
-    assert hour_to_slot(12.99, 12) == 1
-    assert hour_to_slot(21.0, 12) == 10
-    assert hour_to_slot(23.5, 12) == 12
-    assert hour_to_slot(0.0, 12) == 13
-    assert hour_to_slot(4.0, 12) == 17
-    assert hour_to_slot(11.0, 12) == 24
+    hours = np.array([12.0, 12.99, 21.0, 23.5, 0.0, 4.0, 11.0])
+    assert hour_to_slot(hours, 12).tolist() == [1, 1, 10, 12, 13, 17, 24]
 
 
 def test_hour_to_slot_midnight_start():
-    assert hour_to_slot(0.0, 0) == 1
-    assert hour_to_slot(0.5, 0) == 1
-    assert hour_to_slot(23.9, 0) == 24
+    assert hour_to_slot(np.array([0.0, 0.5, 23.9]), 0).tolist() == [1, 1, 24]
 
 
 @given(st.floats(min_value=0.0, max_value=23.999),
        st.integers(min_value=0, max_value=23))
 def test_hour_to_slot_always_in_range(hour, day_start):
     assert 1 <= hour_to_slot(hour, day_start) <= N_SLOTS
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=30),
+       st.integers(min_value=0, max_value=23))
+def test_hour_to_slot_matches_integer_formula(hours, day_start):
+    # any finite hour, far outside one day too, maps as exact integer
+    # arithmetic on its floor does
+    slots = hour_to_slot(np.array(hours), day_start).tolist()
+    assert slots == [(math.floor(h) - day_start) % 24 + 1 for h in hours]
 
 
 def test_as_profile_rejects_bad_shapes():
@@ -278,6 +282,22 @@ def test_baseline_household_zero_demand():
 # ---------------------------------------------------------------------------
 # plug-and-charge baseline
 
+def greedy_schedule(profile):
+    """One vehicle's plug-and-charge schedule, charged on its own: full rate
+    from arrival until its energy is delivered. The reference
+    ``uncoordinated_profile`` must sum to, bit for bit."""
+    x = np.zeros(N_SLOTS)
+    remaining = profile.required_energy
+    window = profile.window
+    for i in range(window.start, window.stop):
+        if remaining <= 1e-12:
+            break
+        amount = min(profile.rate, remaining)
+        x[i] = amount
+        remaining -= amount
+    return x
+
+
 def test_greedy_schedule_fills_from_arrival():
     p = make_profile(arrival_slot=3, departure_slot=8, required_energy=5.0)
     x = greedy_schedule(p)
@@ -299,11 +319,31 @@ def test_greedy_schedule_properties_across_fleet():
         assert np.count_nonzero(x[p.window]) == np.count_nonzero(x)
 
 
-def test_uncoordinated_profile_is_sum_of_schedules():
+def test_uncoordinated_profile_is_sum_of_schedules(reference_scenario):
     fleet = sample_fleet(small_spec(n_users=20), 8)
     agg = uncoordinated_profile(fleet)
-    assert np.allclose(agg, sum(greedy_schedule(p) for p in fleet))
     assert agg.sum() == pytest.approx(sum(p.required_energy for p in fleet))
+    edges = [  # windows at both ends of the day, mixed rates, and
+        # energies whose last step leaves float dust under the 1e-12 stop
+        make_profile(user_id=1, arrival_slot=1, departure_slot=1,
+                     required_energy=1.8),
+        make_profile(user_id=2, arrival_slot=24, departure_slot=24,
+                     required_energy=0.7, rate=3.3),
+        make_profile(user_id=3, required_energy=0.0),
+        make_profile(user_id=4, arrival_slot=10, departure_slot=14,
+                     required_energy=7.2),
+        make_profile(user_id=5, arrival_slot=20, departure_slot=24,
+                     required_energy=0.3, rate=0.1),
+        make_profile(user_id=6, arrival_slot=1, departure_slot=24,
+                     required_energy=15.6, rate=0.7),
+        make_profile(user_id=7, arrival_slot=2, departure_slot=6,
+                     required_energy=3.6 + 5e-13),  # stops with 5e-13 owed
+    ]
+    for fleet in ([], edges, fleet, reference_scenario.fleet):
+        expected = np.zeros(N_SLOTS)
+        for p in fleet:  # the per-vehicle sum, in fleet order
+            expected += greedy_schedule(p)
+        assert uncoordinated_profile(fleet).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import FLAT_DAY_YAML, REFERENCE_YAML
+from conftest import FLAT_DAY_YAML, REFERENCE_YAML, with_each_yaml_loader
 
 from fleetdr.errors import ConfigError
 from fleetdr.fleet import N_SLOTS, PevProfile, baseline_household, sample_fleet
@@ -55,6 +55,20 @@ def test_connection_counts():
     assert counts[0] == 0 and counts[1] == 1
     assert counts[3] == 2 and counts[4] == 2
     assert counts[7] == 1 and counts[8] == 0
+
+
+def test_connection_counts_matches_per_vehicle_loop(reference_scenario):
+    edges = [make_profile(1, 1, 1, e=1.8), make_profile(2, 24, 24, e=1.8),
+             make_profile(3, 1, 24), make_profile(4, 20, 24),
+             make_profile(5, 1, 3)]
+    for fleet in ([], edges[:1], edges[1:2], edges,
+                  reference_scenario.fleet):
+        expected = np.zeros(N_SLOTS)
+        for prof in fleet:
+            expected[prof.window] += 1
+        counts = connection_counts(fleet)
+        assert counts.dtype == expected.dtype
+        assert counts.tobytes() == expected.tobytes()
 
 
 def test_purchase_profile_fills_covered_slots_only():
@@ -192,6 +206,14 @@ def test_load_config_reports_yaml_errors(tmp_path):
     path.write_text("seed: [unclosed\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
         load_config(path)
+
+
+@pytest.mark.parametrize("path", [REFERENCE_YAML, FLAT_DAY_YAML])
+def test_both_yaml_loaders_give_equal_configs(monkeypatch, path):
+    libyaml_cfg, python_cfg = with_each_yaml_loader(
+        monkeypatch, lambda: load_config(path))
+    assert libyaml_cfg == python_cfg
+    assert config_digest(libyaml_cfg) == config_digest(python_cfg)
 
 
 def test_load_config_prefixes_path(tmp_path):
