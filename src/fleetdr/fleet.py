@@ -435,21 +435,23 @@ def uncoordinated_profile(fleet: Sequence[PevProfile]) -> np.ndarray:
     """Aggregate PEV load (24,) when every user plug-and-charges greedily:
     full rate from arrival until its energy is delivered.
 
-    The fleet charges together, one slot at a time; each vehicle's slot
-    loads make one row, and the rows are summed in fleet order.
+    The fleet charges together, one slot at a time. Each slot's loads are
+    added in fleet order by a running sum, so the total has the bits of
+    adding the vehicles' schedules one after another.
     """
     n = len(fleet)
     start = np.fromiter((p.arrival_slot - 1 for p in fleet), int, n)
     stop = np.fromiter((p.departure_slot for p in fleet), int, n)
     rate = np.fromiter((p.rate for p in fleet), float, n)
     remaining = np.fromiter((p.required_energy for p in fleet), float, n)
-    x = np.zeros((n, N_SLOTS))
+    agg = np.zeros(N_SLOTS)
     for t in range(N_SLOTS):
         live = (start <= t) & (t < stop) & (remaining > 1e-12)
         amount = np.minimum(rate[live], remaining[live])
-        x[live, t] = amount
         remaining[live] -= amount
-    return x.sum(axis=0)
+        if amount.size:
+            agg[t] = np.cumsum(amount)[-1]
+    return agg
 
 
 # ---------------------------------------------------------------------------

@@ -216,16 +216,7 @@ def test_flat_day_artifacts_match_pinned_digests(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # failure modes
 
-def test_bad_yaml_exits_config(tmp_path, capsys):
-    path = tmp_path / "broken.yaml"
-    path.write_text("seed: [oops\n")
-    assert main(["simulate", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-
-
-def test_bad_yaml_exits_config_on_both_loaders(tmp_path, capsys,
-                                              monkeypatch):
+def test_bad_yaml_exits_config(tmp_path, capsys, monkeypatch):
     path = tmp_path / "broken.yaml"
     path.write_text("seed: [oops\n")
 

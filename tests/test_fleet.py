@@ -284,8 +284,8 @@ def test_baseline_household_zero_demand():
 
 def greedy_schedule(profile):
     """One vehicle's plug-and-charge schedule, charged on its own: full rate
-    from arrival until its energy is delivered. The reference
-    ``uncoordinated_profile`` must sum to, bit for bit."""
+    from arrival until its energy is delivered. ``uncoordinated_profile``
+    must equal the sum of these in fleet order, bit for bit."""
     x = np.zeros(N_SLOTS)
     remaining = profile.required_energy
     window = profile.window
