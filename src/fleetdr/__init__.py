@@ -12,7 +12,7 @@ from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
                           ShapedPlans, cap_value, decide_altering,
                           real_time_walk, shape_day_ahead, simulate_day)
 from .subproblem import (SubproblemSolution, UserSubproblem,
-                         build_subproblem, check_feasible, solve)
+                         build_subproblem, solve)
 from .report import CaseComparison, CaseConfig, CaseResult, emit, run_cases
 
 __version__ = "0.1.0"

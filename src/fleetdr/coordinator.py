@@ -25,6 +25,15 @@ derived LP (:func:`~fleetdr.subproblem.vehicle_lp`) on the
 the cap's head-room, prices its free slots and calls
 :func:`~fleetdr.subproblem.solve_vehicle`, which returns the plan or raises
 for an infeasible vehicle.
+
+Beside the LP the pass keeps what the vehicle's last solve saw: the capped
+box's upper bounds, the stable argsort of its prices and, when that solve
+ran the exact program, which neighbours in sorted order tied. The greedy
+pour reads the prices only through that argsort, and the exact program
+only compares them, so when all of it repeats the solve would return the
+plan the vehicle already holds, bit for bit. The pass skips such a solve
+and its no-op update of the aggregate. Only passes write plans, and the
+record goes with the LP when the walk freezes another slot.
 """
 
 from __future__ import annotations
@@ -38,8 +47,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError
 from .fleet import N_SLOTS, PevProfile, as_profile
 from .market import MarketDay
-from .subproblem import (Box, VehicleLp, capped_box, solve_vehicle, t0_term,
-                         vehicle_lp)
+from .subproblem import Box, capped_box, solve_vehicle, t0_term, vehicle_lp
 # unused here; perfbench/tracing.py wraps both (test_traced_name_resolves)
 from .subproblem import build_subproblem, solve  # noqa: F401
 
@@ -63,8 +71,8 @@ class ScheduleState:
     """Everyone's current plan plus how much of the day is already real.
 
     Passes cache each vehicle's LP, derived from the frozen slots of
-    ``pev``, until ``realized_upto`` moves, so change plans only through
-    passes, or start a new state.
+    ``pev``, and what its last solve saw, until ``realized_upto`` moves,
+    so change plans only through passes, or start a new state.
     """
 
     fleet: List[PevProfile]
@@ -72,9 +80,9 @@ class ScheduleState:
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
-    # each fleet row's derived LP with the realized_upto it was derived at,
+    # each fleet row's [realized_upto, derived LP, last solve's inputs],
     # and the rate boxes those LPs share
-    _vehicles: Dict[int, Tuple[int, VehicleLp]] = field(
+    _vehicles: Dict[int, list] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _boxes: Dict[tuple, Box] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -150,6 +158,12 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
     return kappa * total / N_SLOTS
 
 
+def _ties(coeff: np.ndarray, order: np.ndarray) -> bytes:
+    """Which neighbours of ``coeff`` in sorted ``order`` are equal."""
+    ranked = coeff[order]
+    return (ranked[1:] == ranked[:-1]).tobytes()
+
+
 def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
                        t0_sign: int = 0, t0_term_scale: float = 1.0,
                        cap: float | None = None,
@@ -163,7 +177,10 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
     vehicle's LP is derived once per ``realized_upto`` and kept on
     ``state``; per solve the pass only cuts its box to the cap's head-room,
     prices its free slots and solves it, so it writes exactly the plans
-    ``solve(build_subproblem(...))`` gives and raises the same errors.
+    ``solve(build_subproblem(...))`` gives and raises the same errors. A
+    vehicle whose box, price order and, after an exact solve, price ties
+    repeat those of its last solve keeps its plan unsolved (see the module
+    docstring).
     """
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
@@ -180,9 +197,9 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         others = hh + agg_pev - plan
         cached = vehicles.get(idx)
         if cached is None or cached[0] != upto:
-            cached = vehicles[idx] = (upto, vehicle_lp(
-                state.fleet[idx], state.history_for(idx), state._boxes))
-        lp = cached[1]
+            cached = vehicles[idx] = [upto, vehicle_lp(
+                state.fleet[idx], state.history_for(idx), state._boxes), None]
+        _, lp, last = cached
         free = lp.free
         box = lp.box if cap is None else capped_box(lp, cap - others)
         coeff = (others - da)[free]
@@ -190,7 +207,15 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
             coeff *= lam
         if t0 is not None and coeff.size:
             coeff[0] += t0
-        x = solve_vehicle(lp, box, coeff)[0]
+        order = coeff.argsort(kind="stable")
+        up = None if cap is None else box.up.tobytes()
+        ranks = order.tobytes()
+        if (last is not None and last[0] == ranks and last[1] == up
+                and (last[2] is None or last[2] == _ties(coeff, order))):
+            continue  # the solve would return the plan's own bits
+        x, method = solve_vehicle(lp, box, coeff, order)
+        cached[2] = (ranks, up,
+                     _ties(coeff, order) if method == "exact" else None)
         agg_pev[free] += x - plan[free]
         plan[free] = x
 

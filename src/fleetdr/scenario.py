@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import re
 import typing
 from dataclasses import MISSING, dataclass, field
 from typing import List
@@ -216,14 +217,30 @@ def config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# YAML 1.2 floats with an exponent that YAML 1.1's resolver, which wants a
+# dot and a signed exponent, leaves as strings: 1e-6, 1e9, 1.0e9, .5e3
+_EXPONENT_FLOAT = re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+
+
+@functools.cache
+def _yaml12_floats(base: type) -> type:
+    """``base`` with the exponent floats of YAML 1.2 resolved as floats."""
+    loader = type(base.__name__, (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
+    return loader
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario YAML file.
 
     Parsing uses libyaml's safe loader when PyYAML was built with it, and
     PyYAML's pure-Python safe loader otherwise; both resolve and construct
-    values the same way, so they give the same config.
+    values the same way, so they give the same config. Either reads
+    exponent forms such as ``1e-6`` as floats, as YAML 1.2 does.
     """
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _yaml12_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=loader)

@@ -205,39 +205,13 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
         min_prefix=lp.min_prefix, max_prefix=lp.max_prefix)
 
 
-def check_feasible(sub: UserSubproblem, x, tol: float = FEAS_TOL) -> List[str]:
-    """List every constraint a candidate solution violates (empty = fine)."""
-    x = np.asarray(x, dtype=float)
-    problems: List[str] = []
-    k = len(sub.coeff)
-    if x.shape != (k,):
-        return [f"shape {x.shape} != ({k},)"]
-    for i in range(k):
-        if x[i] < sub.lo[i] - tol or x[i] > sub.up[i] + tol:
-            problems.append(
-                f"slot {sub.first + i}: {x[i]:.6f} outside "
-                f"[{sub.lo[i]:.6f}, {sub.up[i]:.6f}]")
-    if abs(float(x.sum()) - sub.target) > tol:
-        problems.append(f"energy {x.sum():.6f} != target {sub.target:.6f}")
-    running = np.cumsum(x)
-    for i in range(k):
-        if running[i] < sub.min_prefix - tol:
-            problems.append(
-                f"slot {sub.first + i}: running sum {running[i]:.6f} "
-                f"below floor {sub.min_prefix:.6f}")
-        if running[i] > sub.max_prefix + tol:
-            problems.append(
-                f"slot {sub.first + i}: running sum {running[i]:.6f} "
-                f"above ceiling {sub.max_prefix:.6f}")
-    return problems
-
-
 def _pour(x: List[float], width: List[float], remaining: float,
-          coeff: np.ndarray) -> List[float]:
+          order: np.ndarray) -> List[float]:
     """Raise ``x`` (a list, in place) by ``remaining`` in total, filling
-    each slot's ``width`` cheapest ``coeff`` first; ties go in slot order.
+    each slot's ``width`` in ``order``, the prices' stable argsort, so
+    cheapest first and ties in slot order.
     """
-    for i in coeff.argsort(kind="stable").tolist():
+    for i in order.tolist():
         if remaining <= 0:
             break
         add = min(width[i], remaining)
@@ -328,15 +302,20 @@ def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
 
 
 def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
-                  coeff: np.ndarray) -> Tuple[np.ndarray, str]:
+                  coeff: np.ndarray, order: np.ndarray
+                  ) -> Tuple[np.ndarray, str]:
     """Solve one vehicle's LP over ``box`` at prices ``coeff``; returns the
     plan on the free slots and the method that found it.
 
-    ``lp`` supplies only the user id, the energy target and the band.
+    ``lp`` supplies only the user id, the energy target and the band, and
+    ``order`` is ``coeff.argsort(kind="stable")``.
     The greedy pour solves the relaxation without the state-of-charge band;
     if its running sums happen to respect the band it is optimal for the
     full problem too (adding constraints can only worsen the optimum), and
     that certificate lets most solves skip the exact prefix-band program.
+    The pour reads the prices only through ``order``, and the exact
+    program only compares them, so the plan depends on the prices only
+    through their order and, for an exact plan, which of them tie.
     Raises ``InfeasibleError`` naming the binding constraint.
     """
     _, up, lo_sum, up_sum, lo_list, width, _ = box
@@ -353,7 +332,7 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
             f"energy target {target:.3f} kWh outside reachable "
             f"[{lo_sum:.3f}, {up_sum:.3f}]",
             user_id=lp.user_id, constraint="energy balance")
-    x = _pour(lo_list.copy(), width, target - lo_sum, coeff)
+    x = _pour(lo_list.copy(), width, target - lo_sum, order)
     running = list(accumulate(x))  # the sums np.cumsum gives
     if (min(running) >= lp.min_prefix - FEAS_TOL
             and max(running) <= lp.max_prefix + FEAS_TOL):
@@ -370,7 +349,8 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
 
 def solve(sub: UserSubproblem) -> SubproblemSolution:
     """Solve one vehicle's replanning LP (see :func:`solve_vehicle`)."""
-    x, method = solve_vehicle(sub, _box(sub.lo, sub.up), sub.coeff)
+    x, method = solve_vehicle(sub, _box(sub.lo, sub.up), sub.coeff,
+                              sub.coeff.argsort(kind="stable"))
     return SubproblemSolution(x=x, objective=float(sub.coeff @ x),
                               method=method)
 

@@ -1,5 +1,5 @@
 """Shared fixtures: repo paths, the frozen large-scenario build and the
-plan audit.
+plan audits.
 
 The reference scenario (1000 vehicles) is built once per session and shared
 by every test that only reads it; tests that mutate schedule state build
@@ -14,6 +14,7 @@ import yaml
 
 from fleetdr.report import run_cases
 from fleetdr.scenario import build_scenario, load_config
+from fleetdr.subproblem import FEAS_TOL
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -42,11 +43,39 @@ def audit_plan(prof, x, who, tol=1e-6):
         f"{who}: battery above capacity"
 
 
+def check_feasible(sub, x, tol=FEAS_TOL):
+    """List every constraint the candidate plan ``x`` of the
+    ``UserSubproblem`` ``sub`` violates (empty = fine)."""
+    x = np.asarray(x, dtype=float)
+    problems = []
+    k = len(sub.coeff)
+    if x.shape != (k,):
+        return [f"shape {x.shape} != ({k},)"]
+    for i in range(k):
+        if x[i] < sub.lo[i] - tol or x[i] > sub.up[i] + tol:
+            problems.append(
+                f"slot {sub.first + i}: {x[i]:.6f} outside "
+                f"[{sub.lo[i]:.6f}, {sub.up[i]:.6f}]")
+    if abs(float(x.sum()) - sub.target) > tol:
+        problems.append(f"energy {x.sum():.6f} != target {sub.target:.6f}")
+    running = np.cumsum(x)
+    for i in range(k):
+        if running[i] < sub.min_prefix - tol:
+            problems.append(
+                f"slot {sub.first + i}: running sum {running[i]:.6f} "
+                f"below floor {sub.min_prefix:.6f}")
+        if running[i] > sub.max_prefix + tol:
+            problems.append(
+                f"slot {sub.first + i}: running sum {running[i]:.6f} "
+                f"above ceiling {sub.max_prefix:.6f}")
+    return problems
+
+
 def with_each_yaml_loader(monkeypatch, parse):
     """``(parse(), parse())``: first with the YAML loader ``load_config``
     picks here (libyaml's when PyYAML has it), then with ``CSafeLoader``
     taken away, so with PyYAML's pure-Python safe loader. Asserts that each
-    parse went through the loader it was meant to."""
+    parse went through a loader derived from the one it was meant to."""
     expected = [getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader]
     used = []
     real_load = yaml.load
@@ -59,7 +88,8 @@ def with_each_yaml_loader(monkeypatch, parse):
     first = parse()
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     second = parse()
-    assert used == expected
+    assert [loader.__bases__ for loader in used] == [
+        (base,) for base in expected]
     return first, second
 
 

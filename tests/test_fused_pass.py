@@ -3,8 +3,9 @@
 ``reference_pass`` is the pass as one ``build_subproblem`` + ``solve`` per
 vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` derives
 each vehicle's LP once per frozen history and calls ``solve_vehicle`` on
-it; it must write the same plans, bit for bit, on every pass of a day, and
-fail the same way on bad input.
+it, unless the vehicle's box, price order and price ties repeat its last
+solve; it must write the same plans, bit for bit, on every pass of a day,
+and fail the same way on bad input.
 """
 
 import copy
@@ -47,14 +48,14 @@ def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
 @pytest.fixture
 def checked_passes(monkeypatch):
     """Run the reference pass beside every fused pass of a day and compare
-    plans; count passes, walk passes and the fused pass's solves by
-    method."""
-    counts = {"passes": 0, "walk_passes": 0, "greedy": 0, "exact": 0,
-              "empty": 0}
+    plans; count passes, walk passes, the vehicles the passes visit and the
+    fused pass's solves by method."""
+    counts = {"passes": 0, "walk_passes": 0, "visits": 0, "greedy": 0,
+              "exact": 0, "empty": 0}
     fused, kernel = coordinator.best_response_pass, coordinator.solve_vehicle
 
-    def counted_solve(lp, box, coeff):
-        x, method = kernel(lp, box, coeff)
+    def counted_solve(lp, box, coeff, order):
+        x, method = kernel(lp, box, coeff, order)
         counts[method] += 1
         return x, method
 
@@ -64,6 +65,8 @@ def checked_passes(monkeypatch):
         fused(state, **kwargs)
         counts["passes"] += 1
         counts["walk_passes"] += state.realized_upto > 0
+        users = kwargs.get("users")
+        counts["visits"] += len(state.fleet if users is None else users)
         assert np.array_equal(state.pev, expected.pev), \
             f"pass {counts['passes']} ({kwargs}) left other plans"
 
@@ -91,6 +94,55 @@ def test_half_v2g_day_passes_match_bit_for_bit(checked_passes):
     # start past slot 0, so the cached LPs must follow realized_upto
     assert checked_passes["exact"] > 0
     assert checked_passes["walk_passes"] > 0
+    # plans that no longer move are not solved again
+    solves = sum(checked_passes[m] for m in ("greedy", "exact", "empty"))
+    assert solves < checked_passes["visits"]
+
+
+# ---------------------------------------------------------------------------
+# the skip: a vehicle is solved again whenever a repeat could move its plan
+
+def priced(state, prices):
+    """Set the purchase so the first free slots cost ``prices``: a lone
+    vehicle's price is the households less the purchase."""
+    da = np.zeros(N_SLOTS)
+    da[:len(prices)] = state.household_total[:len(prices)] - prices
+    state.da_profile = da
+
+
+@pytest.mark.parametrize("first, second", [([1.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
+                                           ([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])])
+def test_a_new_tie_between_exact_solves_is_solved_again(checked_passes,
+                                                        first, second):
+    # the battery's ceiling binds, so both solves run the exact program;
+    # with the tie it keeps [1.8, 0, 0], without it it sells 0.2 kWh back
+    # in the dearest slot, yet both price lists sort in slot order
+    state = one_vehicle_state(required_energy=1.8, capacity=6.0,
+                              initial_soc=4.0, v2g=True)
+    plans = []
+    for prices in (first, second, second):
+        priced(state, np.array(prices))
+        coordinator.best_response_pass(state)
+        plans.append(state.pev[0, :3].copy())
+    # the repeat of `second` skips
+    assert (checked_passes["exact"], checked_passes["greedy"]) == (2, 0)
+    tied, untied = (plans[0], plans[1]) if first[2] == 2.0 else plans[1::-1]
+    assert tied == pytest.approx([1.8, 0.0, 0.0])
+    assert untied == pytest.approx([1.8, 0.2, -0.2])
+
+
+def test_a_new_cap_head_room_is_solved_again(checked_passes):
+    # same prices each pass; only the head-room the cap leaves changes
+    state = one_vehicle_state(required_energy=2.0)
+    priced(state, np.array([1.0, 2.0, 3.0]))
+    plans = []
+    for cap in (4.0, 3.0, 3.0):  # households draw 2 kWh a slot
+        coordinator.best_response_pass(state, cap=cap)
+        plans.append(state.pev[0, :3].copy())
+    # the repeat of cap 3 skips
+    assert (checked_passes["greedy"], checked_passes["exact"]) == (2, 0)
+    assert plans[0] == pytest.approx([1.8, 0.2, 0.0])
+    assert plans[1] == pytest.approx([1.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,27 @@ def test_both_yaml_loaders_give_equal_configs(monkeypatch, path):
     assert config_digest(libyaml_cfg) == config_digest(python_cfg)
 
 
+def test_yaml_12_exponent_floats_load_as_floats(tmp_path, monkeypatch):
+    # YAML 1.1 wants a dot and a signed exponent, so both loaders used to
+    # hand these over as strings, and load_config exited 2 on them
+    with open(REFERENCE_YAML) as fh:
+        text = fh.read()
+    for old, new in [("mse_tol: 1.0e-6", "mse_tol: 1e-6"),
+                     ("t0_term_scale: 1000.0", "t0_term_scale: 1e3"),
+                     ("block_kwh: 500.0", "block_kwh: 5.0e2"),
+                     ("base_level_mwh: 33.0", "base_level_mwh: .33e2"),
+                     ("capacity_kwh: 24.0", "capacity_kwh: 24E0")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "exponents.yaml"
+    path.write_text(text)
+    reference = load_config(REFERENCE_YAML)
+    for cfg in with_each_yaml_loader(monkeypatch, lambda: load_config(path)):
+        assert cfg == reference
+        # the digest dumps 1e3 and 1000 differently, so it checks the types
+        assert config_digest(cfg) == config_digest(reference)
+
+
 def test_load_config_prefixes_path(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("seed: 1\nfleet: {n_users: -2}\nmarket: {synthetic: {}}\n")

@@ -3,6 +3,8 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import block_diag, hstack
 
+from conftest import check_feasible
+
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.subproblem import (
@@ -10,7 +12,6 @@ from fleetdr.subproblem import (
     UserSubproblem,
     brute_force_oracle,
     build_subproblem,
-    check_feasible,
     enumerate_oracle,
     solve,
 )

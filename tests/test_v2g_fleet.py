@@ -4,6 +4,7 @@ is audited against the physical limits directly, without ``check_feasible``.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ TOL_KWH = 1e-6
 
 # The same seed at 100 and 300 vehicles meets the demand cap's false
 # infeasible verdict: the first sweep hands the cap's head-room to early
-# vehicles and a late one finds none (ROADMAP item 3).
+# vehicles and a late one finds none (ROADMAP item 1).
 FALSE_CAP_VERDICT = pytest.mark.xfail(strict=True, raises=InfeasibleError,
                                       reason="false demand-cap verdict")
 
@@ -59,6 +60,18 @@ def test_half_v2g_fleet_plans_are_legal(n_users, monkeypatch):
         for prof, x in zip(sc.fleet, day.pev):
             audit_plan(prof, x, f"case {case}, user {prof.user_id}", TOL_KWH)
     assert np.all(cases.get(4).aggregate <= cap + TOL_KWH)
+
+
+def test_half_v2g_day_is_silent(capfd):
+    # a benchmark run reports on its last line of output, so the day must
+    # print nothing and raise no warning (numpy's floating-point warnings
+    # included) that could land after it
+    cfg = half_v2g_config(200)
+    sc = build_scenario(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report.run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+    assert capfd.readouterr() == ("", "")
 
 
 # sha256 of the 200-vehicle day's artifacts; the state-of-charge band binds
