@@ -110,39 +110,36 @@ def priced(state, prices):
     state.da_profile = da
 
 
-@pytest.mark.parametrize("first, second", [([1.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
-                                           ([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])])
+# the battery's ceiling binds, so both price lists run the exact program;
+# both sort in slot order, but only the tie keeps the plan at [1.8, 0, 0]
+TIED = ([1.0, 2.0, 2.0], [1.8, 0.0, 0.0])  # prices, the plan they give
+UNTIED = ([1.0, 2.0, 3.0], [1.8, 0.2, -0.2])
+
+
+@pytest.mark.parametrize("first, second", [(TIED, UNTIED), (UNTIED, TIED)])
 def test_a_new_tie_between_exact_solves_is_solved_again(checked_passes,
                                                         first, second):
-    # the battery's ceiling binds, so both solves run the exact program;
-    # with the tie it keeps [1.8, 0, 0], without it it sells 0.2 kWh back
-    # in the dearest slot, yet both price lists sort in slot order
     state = one_vehicle_state(required_energy=1.8, capacity=6.0,
                               initial_soc=4.0, v2g=True)
-    plans = []
-    for prices in (first, second, second):
+    for prices, plan in (first, second, second):
         priced(state, np.array(prices))
         coordinator.best_response_pass(state)
-        plans.append(state.pev[0, :3].copy())
+        assert state.pev[0, :3] == pytest.approx(plan)
     # the repeat of `second` skips
     assert (checked_passes["exact"], checked_passes["greedy"]) == (2, 0)
-    tied, untied = (plans[0], plans[1]) if first[2] == 2.0 else plans[1::-1]
-    assert tied == pytest.approx([1.8, 0.0, 0.0])
-    assert untied == pytest.approx([1.8, 0.2, -0.2])
 
 
 def test_a_new_cap_head_room_is_solved_again(checked_passes):
     # same prices each pass; only the head-room the cap leaves changes
     state = one_vehicle_state(required_energy=2.0)
     priced(state, np.array([1.0, 2.0, 3.0]))
-    plans = []
-    for cap in (4.0, 3.0, 3.0):  # households draw 2 kWh a slot
+    # households draw 2 kWh a slot
+    for cap, plan in [(4.0, [1.8, 0.2, 0.0]), (3.0, [1.0, 1.0, 0.0]),
+                      (3.0, [1.0, 1.0, 0.0])]:
         coordinator.best_response_pass(state, cap=cap)
-        plans.append(state.pev[0, :3].copy())
+        assert state.pev[0, :3] == pytest.approx(plan)
     # the repeat of cap 3 skips
     assert (checked_passes["greedy"], checked_passes["exact"]) == (2, 0)
-    assert plans[0] == pytest.approx([1.8, 0.2, 0.0])
-    assert plans[1] == pytest.approx([1.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
