@@ -1,7 +1,6 @@
 """Watch a single vehicle replan when the 21:00 real-time price spikes.
 
-Three short scenes, each cross-checked against the dynamic-programming
-oracle on the 0.1-kWh charge grid:
+Three short scenes:
 
   1. shift  -- a charge-only commuter had planned to charge during the
                spike hour; replanning pushes that energy two hours later.
@@ -18,7 +17,7 @@ The scheduling day starts at noon, so slot s covers the wall-clock hour
 import numpy as np
 
 from fleetdr.fleet import PevProfile
-from fleetdr.subproblem import brute_force_oracle, build_subproblem, solve
+from fleetdr.subproblem import build_subproblem, solve
 
 SPIKE_WEIGHT = 1000.0
 
@@ -31,14 +30,6 @@ def show_plan(label, first, x):
     cells = " ".join(f"{v:+5.1f}" for v in x)
     print(f"  {label:<26} {hour_label(first)}-{hour_label(first + len(x) - 1)}"
           f"  [{cells}]")
-
-
-def check_oracle(sub, sol):
-    oracle = brute_force_oracle(sub, 0.1)
-    gap = abs(sol.objective - oracle.objective)
-    print(f"  oracle check ({sol.method} path): objective "
-          f"{sol.objective:.3f} vs {oracle.objective:.3f}  (gap {gap:.1e})")
-    assert gap <= 0.1 * np.abs(sub.coeff).sum() + 1e-9
 
 
 def scene_shift():
@@ -64,7 +55,6 @@ def scene_shift():
     moved_to = sub.first + int(np.argmax(sol.x - calm.x[2:]))
     print(f"  the 21:00 charge ({calm.x[2]:+.1f} kWh) moved to "
           f"{hour_label(moved_to)}; nothing was lost, only delayed")
-    check_oracle(sub, sol)
     print()
 
 
@@ -87,7 +77,6 @@ def scene_sell():
           "back over the next two hours,")
     print("  and resells a chunk at the pricier end of the night -- "
           f"net change {sol.x.sum():+.1f} kWh")
-    check_oracle(sub, sol)
     print()
 
 
@@ -112,7 +101,6 @@ def scene_reserve():
     print(f"  more than {car.initial_soc - reserve:.1f} kWh would breach "
           f"the reserve -- hence the {sol.method} path")
     assert sol.method == "exact"
-    check_oracle(sub, sol)
 
 
 if __name__ == "__main__":

@@ -60,9 +60,10 @@ class ConvergenceSpec:
     mse_tol: float = 1e-6
 
     def validate(self) -> None:
-        if self.max_sweeps < 1:
+        # each check fails on NaN, which compares false
+        if not self.max_sweeps >= 1:
             raise ConfigError("convergence.max_sweeps must be >= 1")
-        if self.mse_tol <= 0:
+        if not self.mse_tol > 0:
             raise ConfigError("convergence.mse_tol must be positive")
 
 

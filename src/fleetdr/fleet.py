@@ -317,43 +317,61 @@ def sample_fleet(spec: FleetSpec, seed: int) -> List[PevProfile]:
     Windows are emitted on the re-indexed scheduling axis; with the default
     distributions (evening arrivals, morning departures, noon day start)
     every window fits inside the day; one that wraps raises ConfigError.
+
+    Energy needs are capped, and every check of :meth:`PevProfile.validate`
+    is taken, as array expressions over the whole draw. Only when a row
+    fails are the profiles validated one by one, in fleet order, so the
+    error and the first user it names are ``validate()``'s.
     """
     spec.validate()
-    rng = np.random.default_rng(seed)
-    arrivals = spec.arrival.sample(rng, spec.n_users)
-    departures = spec.departure.sample(rng, spec.n_users)
-    hours = spec.charging_time.sample(rng, spec.n_users)
-    soc_frac = spec.initial_soc.sample(rng, spec.n_users)
-    v2g_draw = rng.random(spec.n_users)
-
-    # per-vehicle arithmetic on the whole draw, taken as Python scalars
-    columns = zip(hour_to_slot(arrivals, spec.day_start_hour).tolist(),
-                  hour_to_slot(departures, spec.day_start_hour).tolist(),
-                  (np.clip(soc_frac, 0.0, 1.0) * spec.capacity_kwh).tolist(),
-                  (v2g_draw < spec.v2g_fraction).tolist(),
-                  (spec.rate_kw * np.maximum(0.0, hours)).tolist())
-    fleet = []
-    for user_id, (a, b, soc0, v2g, e_raw) in enumerate(columns, start=1):
-        prof = PevProfile(
-            user_id=user_id,
-            arrival_slot=a,
-            departure_slot=b,
-            required_energy=0.0,
-            capacity=spec.capacity_kwh,
-            initial_soc=soc0,
-            rate=spec.rate_kw,
-            v2g=v2g,
-        )
-        headroom = spec.capacity_kwh - soc0
-        window_cap = spec.rate_kw * prof.window_length()
-        e = min(e_raw, headroom, window_cap)
-        if spec.energy_grid is not None and e < e_raw - 1e-12:
-            # capped: snap down to the grid so the cap is never exceeded
-            e = math.floor(e / spec.energy_grid + 1e-9) * spec.energy_grid
-        prof.required_energy = max(0.0, float(e))
-        prof.validate()
-        fleet.append(prof)
+    columns, bad = _fleet_columns(spec, seed)
+    fleet = list(map(PevProfile, *columns))
+    if bad.any():
+        for prof in fleet:
+            prof.validate()
     return fleet
+
+
+def _fleet_columns(spec: FleetSpec, seed: int) -> Tuple[list, np.ndarray]:
+    """The fleet's :class:`PevProfile` fields as lists, in field order, and
+    a mask of the rows whose profile :meth:`PevProfile.validate` rejects.
+
+    The whole draw is capped and checked at once, with the bits and types
+    that the same arithmetic on one vehicle's Python scalars gives.
+    """
+    n = spec.n_users
+    rng = np.random.default_rng(seed)
+    arrivals = spec.arrival.sample(rng, n)
+    departures = spec.departure.sample(rng, n)
+    hours = spec.charging_time.sample(rng, n)
+    soc_frac = spec.initial_soc.sample(rng, n)
+    v2g_draw = rng.random(n)
+
+    cap, rate, grid = spec.capacity_kwh, spec.rate_kw, spec.energy_grid
+    a = hour_to_slot(arrivals, spec.day_start_hour)
+    b = hour_to_slot(departures, spec.day_start_hour)
+    soc0 = np.clip(soc_frac, 0.0, 1.0) * cap
+    e_raw = rate * np.maximum(0.0, hours)
+    # Python floats overflow to inf without a warning; so do these
+    with np.errstate(over="ignore", invalid="ignore"):
+        headroom = cap - soc0
+        window_cap = rate * (b - a + 1)
+        e = np.minimum(np.minimum(e_raw, headroom), window_cap)
+        if grid is not None:
+            # capped: snap down to the grid so the cap is never exceeded
+            e = np.where(e < e_raw - 1e-12,
+                         np.floor(e / grid + 1e-9) * grid, e)
+        # Python's max(0.0, e): np.maximum would keep a -0.0 here
+        e = np.where(e > 0.0, e, 0.0)
+        # validate()'s checks on every row; ids start at 1, and
+        # spec.validate() has checked capacity and rate
+        bad = ((a < 1) | (a > N_SLOTS) | (b < 1) | (b > N_SLOTS) | (b < a)
+               | ~np.isfinite(e + cap + soc0 + rate)
+               | ~((0 <= soc0) & (soc0 <= cap)) | (e < 0)
+               | (e > headroom + 1e-9) | (e > window_cap + 1e-9))
+    return [range(1, n + 1), a.tolist(), b.tolist(), e.tolist(), [cap] * n,
+            soc0.tolist(), [rate] * n,
+            (v2g_draw < spec.v2g_fraction).tolist()], bad
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,14 @@ class CaseConfig:
     conv: ConvergenceSpec = field(default_factory=ConvergenceSpec)
 
     def validate(self) -> None:
-        if self.kappa is not None and self.kappa <= 1:
+        # each check fails on NaN, which compares false
+        if self.kappa is not None and not self.kappa > 1:
             raise ConfigError(f"kappa must be > 1 when set, got {self.kappa}")
         if not 0 <= self.lam_rt < 1:
             raise ConfigError(f"lam_rt must be in [0, 1), got {self.lam_rt}")
-        if self.trigger <= 1:
+        if not self.trigger > 1:
             raise ConfigError(f"trigger must be > 1, got {self.trigger}")
-        if self.t0_term_scale <= 0:
+        if not self.t0_term_scale > 0:
             raise ConfigError("t0_term_scale must be positive")
         self.conv.validate()
 

@@ -158,9 +158,10 @@ def _value(tp, optional: bool, v, path: str):
         return tp(**_section(_fields(tp), v, path))
     if not (_finite_number(v) if tp is float
             else isinstance(v, tp) and not isinstance(v, bool)):
-        raise ConfigError(f"{path}: expected "
-                          f"{'a finite number' if tp is float else tp.__name__}"
-                          f", got {v!r}")
+        want = tp.__name__
+        if tp is float:  # only a float can be a number that is not finite
+            want = "a finite number" if isinstance(v, float) else "a number"
+        raise ConfigError(f"{path}: expected {want}, got {v!r}")
     return v
 
 

@@ -22,24 +22,21 @@ steps:
   slot chain) when it does.
 
 :func:`build_subproblem` and :func:`solve` expose the same steps as one
-:class:`UserSubproblem` at a time. Two independent oracles check them:
-
-* :func:`brute_force_oracle` -- exact dynamic program over a discretised
-  charge grid, for small instances, used to validate the production path.
-* :func:`enumerate_oracle` -- literal exhaustive search over the same grid,
-  only viable for a few slots, used to validate the dynamic program.
+:class:`UserSubproblem` at a time. The test suite's oracles (a dynamic
+program and an exhaustive search over a discretised charge grid, in
+``tests/oracles.py``) check them independently.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .fleet import PevProfile, as_profile
 
 FEAS_TOL = 1e-7
@@ -353,137 +350,3 @@ def solve(sub: UserSubproblem) -> SubproblemSolution:
                               sub.coeff.argsort(kind="stable"))
     return SubproblemSolution(x=x, objective=float(sub.coeff @ x),
                               method=method)
-
-
-# ---------------------------------------------------------------------------
-# exact oracles on a discretised charge grid
-
-MAX_ORACLE_SLOTS = 6
-MAX_ENUM_SLOTS = 3
-
-
-def _grid_int(value: float, step: float, what: str) -> int:
-    g = value / step
-    r = round(g)
-    if abs(g - r) > 1e-6:
-        raise DataError(f"{what} {value} is not a multiple of grid step {step}")
-    return int(r)
-
-
-def _grid_floor(value: float, step: float) -> int:
-    """Largest grid multiple <= value (rounds an upper bound inward)."""
-    return int(np.floor(value / step + 1e-9))
-
-
-def _grid_ceil(value: float, step: float) -> int:
-    """Smallest grid multiple >= value (rounds a lower bound inward)."""
-    return int(np.ceil(value / step - 1e-9))
-
-
-def brute_force_oracle(sub: UserSubproblem, grid_step: float = 0.1
-                       ) -> SubproblemSolution:
-    """Exact optimum by dynamic programming over a charge grid.
-
-    States are (position, running energy sum in grid units); transitions
-    enumerate every grid-aligned charge level in the slot's box. Bounds and
-    the target must sit on the grid. Intended as an independent check on
-    :func:`solve`; refuses instances with more than ``MAX_ORACLE_SLOTS``
-    free slots to keep runtime honest.
-    """
-    k = len(sub.coeff)
-    if k > MAX_ORACLE_SLOTS:
-        raise DataError(
-            f"oracle limited to {MAX_ORACLE_SLOTS} free slots, got {k}")
-    if grid_step <= 0:
-        raise ConfigError("grid_step must be positive")
-    if k == 0:
-        if abs(sub.target) > FEAS_TOL:
-            raise InfeasibleError("nonzero target with no free slots",
-                                  user_id=sub.user_id)
-        return SubproblemSolution(x=np.zeros(0), objective=0.0, method="dp")
-
-    # bounds round inward to the grid; the target must sit on it exactly
-    lo_g = [_grid_ceil(sub.lo[i], grid_step) for i in range(k)]
-    up_g = [_grid_floor(sub.up[i], grid_step) for i in range(k)]
-    tgt_g = _grid_int(sub.target, grid_step, "energy target")
-    floor_g = _grid_ceil(sub.min_prefix, grid_step)
-    ceil_g = (_grid_floor(sub.max_prefix, grid_step)
-              if np.isfinite(sub.max_prefix) else None)
-
-    # cost[cum_units] = cheapest way to reach this running sum; parents for
-    # solution recovery
-    costs: dict[int, float] = {0: 0.0}
-    parents: List[dict[int, tuple[int, int]]] = []
-    for i in range(k):
-        nxt: dict[int, float] = {}
-        par: dict[int, tuple[int, int]] = {}
-        for cum, cost in costs.items():
-            for step_units in range(lo_g[i], up_g[i] + 1):
-                cum2 = cum + step_units
-                if cum2 < floor_g:
-                    continue
-                if ceil_g is not None and cum2 > ceil_g:
-                    continue
-                cost2 = cost + sub.coeff[i] * step_units * grid_step
-                if cum2 not in nxt or cost2 < nxt[cum2] - 1e-15:
-                    nxt[cum2] = cost2
-                    par[cum2] = (cum, step_units)
-        costs = nxt
-        parents.append(par)
-        if not costs:
-            break
-
-    if tgt_g not in costs:
-        raise InfeasibleError(
-            "no grid schedule reaches the energy target within the "
-            "state-of-charge band", user_id=sub.user_id,
-            constraint="state-of-charge")
-
-    x = np.zeros(k)
-    cum = tgt_g
-    for i in range(k - 1, -1, -1):
-        prev, step_units = parents[i][cum]
-        x[i] = step_units * grid_step
-        cum = prev
-    return SubproblemSolution(x=x, objective=float(costs[tgt_g]), method="dp")
-
-
-def enumerate_oracle(sub: UserSubproblem, grid_step: float = 0.1
-                     ) -> SubproblemSolution:
-    """Plain exhaustive search over the charge grid; cross-checks the DP."""
-    k = len(sub.coeff)
-    if k > MAX_ENUM_SLOTS:
-        raise DataError(
-            f"enumeration limited to {MAX_ENUM_SLOTS} free slots, got {k}")
-    lo_g = [_grid_ceil(sub.lo[i], grid_step) for i in range(k)]
-    up_g = [_grid_floor(sub.up[i], grid_step) for i in range(k)]
-    tgt_g = _grid_int(sub.target, grid_step, "energy target")
-    floor_g = _grid_ceil(sub.min_prefix, grid_step)
-    ceil_g = (_grid_floor(sub.max_prefix, grid_step)
-              if np.isfinite(sub.max_prefix) else None)
-
-    best = None
-    best_cost = np.inf
-    ranges = [range(lo_g[i], up_g[i] + 1) for i in range(k)]
-    for combo in product(*ranges):
-        if sum(combo) != tgt_g:
-            continue
-        cum = 0
-        ok = True
-        for units in combo:
-            cum += units
-            if cum < floor_g or (ceil_g is not None and cum > ceil_g):
-                ok = False
-                break
-        if not ok:
-            continue
-        cost = sum(sub.coeff[i] * combo[i] * grid_step for i in range(k))
-        if cost < best_cost:
-            best_cost = cost
-            best = combo
-    if best is None:
-        raise InfeasibleError("exhaustive search found no feasible schedule",
-                              user_id=sub.user_id)
-    return SubproblemSolution(
-        x=np.array([u * grid_step for u in best]),
-        objective=float(best_cost), method="enum")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_YAML, audit_plan, check_feasible
+from oracles import brute_force_oracle
 
 from fleetdr.cli import cmd_compare_cases
 from fleetdr.coordinator import ScheduleState, cap_value, shape_day_ahead, simulate_day
@@ -21,7 +22,7 @@ from fleetdr.errors import InfeasibleError
 from fleetdr.fleet import N_SLOTS, uncoordinated_profile
 from fleetdr.market import MarketDay, procurement_cost
 from fleetdr.scenario import connection_counts, load_config
-from fleetdr.subproblem import UserSubproblem, brute_force_oracle, solve
+from fleetdr.subproblem import UserSubproblem, solve
 
 GRID_STEP = 0.1            # kWh lattice for the oracle cross-check
 FEAS_TOL_KWH = 1e-6        # schedule constraint slack

@@ -356,3 +356,9 @@ def test_convergence_spec_validation():
         ConvergenceSpec(max_sweeps=0).validate()
     with pytest.raises(ConfigError):
         ConvergenceSpec(mse_tol=0.0).validate()
+
+
+@pytest.mark.parametrize("field", ["max_sweeps", "mse_tol"])
+def test_convergence_spec_rejects_nan(field):
+    with pytest.raises(ConfigError, match=f"convergence.{field} must be"):
+        ConvergenceSpec(**{field: float("nan")}).validate()

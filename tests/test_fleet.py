@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetdr.errors import ConfigError, DataError
@@ -21,6 +21,7 @@ from fleetdr.fleet import (
     uncoordinated_profile,
     write_fleet_csv,
 )
+from fleetdr.fleet import _fleet_columns
 
 
 def make_profile(**kw):
@@ -229,6 +230,140 @@ def test_fleet_spec_validate_errors():
         small_spec(energy_grid=0.0).validate()
     with pytest.raises(ConfigError):
         small_spec(rate_kw=0.0).validate()
+
+
+def reference_sample_fleet(spec, seed):
+    """``sample_fleet`` as one vehicle at a time: each profile built, capped
+    with Python scalars and validated in turn. ``sample_fleet`` must match
+    it bit for bit and type for type, errors included."""
+    spec.validate()
+    rng = np.random.default_rng(seed)
+    arrivals = spec.arrival.sample(rng, spec.n_users)
+    departures = spec.departure.sample(rng, spec.n_users)
+    hours = spec.charging_time.sample(rng, spec.n_users)
+    soc_frac = spec.initial_soc.sample(rng, spec.n_users)
+    v2g_draw = rng.random(spec.n_users)
+
+    columns = zip(hour_to_slot(arrivals, spec.day_start_hour).tolist(),
+                  hour_to_slot(departures, spec.day_start_hour).tolist(),
+                  (np.clip(soc_frac, 0.0, 1.0) * spec.capacity_kwh).tolist(),
+                  (v2g_draw < spec.v2g_fraction).tolist(),
+                  (spec.rate_kw * np.maximum(0.0, hours)).tolist())
+    fleet = []
+    for user_id, (a, b, soc0, v2g, e_raw) in enumerate(columns, start=1):
+        prof = PevProfile(
+            user_id=user_id,
+            arrival_slot=a,
+            departure_slot=b,
+            required_energy=0.0,
+            capacity=spec.capacity_kwh,
+            initial_soc=soc0,
+            rate=spec.rate_kw,
+            v2g=v2g,
+        )
+        headroom = spec.capacity_kwh - soc0
+        window_cap = spec.rate_kw * prof.window_length()
+        e = min(e_raw, headroom, window_cap)
+        if spec.energy_grid is not None and e < e_raw - 1e-12:
+            e = math.floor(e / spec.energy_grid + 1e-9) * spec.energy_grid
+        prof.required_energy = max(0.0, float(e))
+        prof.validate()
+        fleet.append(prof)
+    return fleet
+
+
+def uniform_choice(values):
+    return Dist("choice", {"values": values,
+                           "probs": [1 / len(values)] * len(values)})
+
+
+# wall-clock hours: the defaults, or draws that often wrap past the day
+HOUR_DISTS = st.one_of(
+    st.none(),
+    st.integers(0, 23).map(lambda h: Dist("point", {"value": float(h)})),
+    st.lists(st.integers(0, 23).map(float), min_size=1, max_size=4
+             ).map(uniform_choice),
+)
+CHARGING_TIMES = st.sampled_from([
+    None,
+    Dist("point", {"value": 0.0}),
+    Dist("point", {"value": -0.0}),
+    Dist("point", {"value": 12.0}),
+    Dist("point", {"value": 30.0}),
+    Dist("uniform", {"lo": -3.0, "hi": 0.4}, round_to=1.0),  # -0.0 too
+    uniform_choice([0.0, 2.5, 12.0, 16.0]),
+    Dist("truncnorm", {"mean": 5.0, "std": 2.0, "lo": 1.0, "hi": 7.0},
+         round_to=1.0),
+])
+SOC_FRACTIONS = st.sampled_from([
+    None,
+    Dist("point", {"value": 0.0}),
+    Dist("point", {"value": 1.0}),  # no head-room: a cap of +0.0
+    uniform_choice([0.0, 0.95, 1.0]),  # 0.95: a snap that rounds to 0
+])
+
+
+@st.composite
+def fleet_specs(draw):
+    kw = dict(
+        n_users=draw(st.integers(0, 60)),
+        capacity_kwh=draw(st.sampled_from([24.0, 24, 7.5])),
+        rate_kw=draw(st.sampled_from([1.8, 2, 3.3])),
+        v2g_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        day_start_hour=draw(st.integers(0, 23)),
+        energy_grid=draw(st.sampled_from([None, 0.1, 0.6, 2.5])),
+        arrival=draw(HOUR_DISTS),
+        departure=draw(HOUR_DISTS),
+        charging_time=draw(CHARGING_TIMES),
+        initial_soc=draw(SOC_FRACTIONS),
+    )
+    return FleetSpec(**{k: v for k, v in kw.items() if v is not None})
+
+
+def outcome(build, spec, seed):
+    """Each profile's repr and field types, or the ConfigError's message."""
+    try:
+        fleet = build(spec, seed)
+    except ConfigError as exc:
+        return str(exc)
+    return [(repr(p), [type(v) for v in vars(p).values()]) for p in fleet]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fleet_specs(), st.integers(0, 2**32))
+def test_sample_fleet_matches_the_per_vehicle_loop(spec, seed):
+    assert outcome(sample_fleet, spec, seed) == \
+        outcome(reference_sample_fleet, spec, seed)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(fleet_specs(), st.integers(0, 2**32))
+def test_fleet_mask_flags_the_rows_validate_rejects(spec, seed):
+    spec.validate()
+    columns, bad = _fleet_columns(spec, seed)
+    rejected = []
+    for prof in map(PevProfile, *columns):
+        try:
+            prof.validate()
+        except ConfigError:
+            rejected.append(True)
+        else:
+            rejected.append(False)
+    assert bad.tolist() == rejected
+
+
+def test_sample_fleet_names_the_first_wrapped_window():
+    # departures before arrivals on the day's axis; the caps come out
+    # negative and are floored to 0, and the window check still fires
+    spec = small_spec(arrival=uniform_choice([20.0, 9.0]),
+                      departure=Dist("point", {"value": 10.0}),
+                      day_start_hour=0, energy_grid=0.6)
+    columns, bad = _fleet_columns(spec, 4)
+    first = int(np.argmax(bad)) + 1
+    assert bad.any() and not bad.all()
+    with pytest.raises(ConfigError, match=rf"^user {first}: charging window "
+                       "wraps"):
+        sample_fleet(spec, 4)
 
 
 # ---------------------------------------------------------------------------

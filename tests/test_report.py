@@ -78,6 +78,17 @@ def test_case_config_validation():
         CaseConfig(conv=ConvergenceSpec(max_sweeps=0)).validate()
 
 
+@pytest.mark.parametrize("field,why", [
+    ("kappa", "kappa must be > 1"),
+    ("lam_rt", "lam_rt must be in"),
+    ("trigger", "trigger must be > 1"),
+    ("t0_term_scale", "t0_term_scale must be positive"),
+])
+def test_case_config_rejects_nan(field, why):
+    with pytest.raises(ConfigError, match=why):
+        CaseConfig(**{field: float("nan")}).validate()
+
+
 def test_case_result_properties():
     agg = np.zeros(N_SLOTS)
     agg[7] = 42.0

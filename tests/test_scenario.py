@@ -237,6 +237,28 @@ def test_yaml_12_exponent_floats_load_as_floats(tmp_path, monkeypatch):
         assert config_digest(cfg) == config_digest(reference)
 
 
+@pytest.mark.parametrize("value,message", [
+    ("abc", "run.mse_tol: expected a number, got 'abc'"),
+    ("yes", "run.mse_tol: expected a number, got True"),
+    (".inf", "run.mse_tol: expected a finite number, got inf"),
+    (".nan", "run.mse_tol: expected a finite number, got nan"),
+])
+def test_a_bad_number_is_named_for_what_it_is(tmp_path, monkeypatch, value,
+                                              message):
+    with open(REFERENCE_YAML) as fh:
+        text = fh.read().replace("mse_tol: 1.0e-6", f"mse_tol: {value}")
+    path = tmp_path / "bad_number.yaml"
+    path.write_text(text)
+
+    def error():
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        return str(exc.value)
+
+    for got in with_each_yaml_loader(monkeypatch, error):
+        assert got == f"{path}: {message}"
+
+
 def test_load_config_prefixes_path(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("seed: 1\nfleet: {n_users: -2}\nmarket: {synthetic: {}}\n")

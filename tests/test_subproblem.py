@@ -4,17 +4,11 @@ from scipy.optimize import linprog
 from scipy.sparse import block_diag, hstack
 
 from conftest import check_feasible
+from oracles import brute_force_oracle, enumerate_oracle
 
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
-from fleetdr.subproblem import (
-    FEAS_TOL,
-    UserSubproblem,
-    brute_force_oracle,
-    build_subproblem,
-    enumerate_oracle,
-    solve,
-)
+from fleetdr.subproblem import FEAS_TOL, UserSubproblem, build_subproblem, solve
 
 GRID = 0.1
 

@@ -8,13 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
-from conftest import REFERENCE_YAML, audit_plan
+from conftest import RESERVE, REFERENCE_YAML, audit_plan
 
 import fleetdr.report as report
 from fleetdr.cli import cmd_compare_cases
-from fleetdr.coordinator import cap_value
+from fleetdr.coordinator import ScheduleState, cap_value, shape_day_ahead
 from fleetdr.errors import InfeasibleError
+from fleetdr.fleet import N_SLOTS
 from fleetdr.scenario import build_scenario, load_config
 
 TOL_KWH = 1e-6
@@ -25,11 +28,19 @@ TOL_KWH = 1e-6
 FALSE_CAP_VERDICT = pytest.mark.xfail(strict=True, raises=InfeasibleError,
                                       reason="false demand-cap verdict")
 
+# 1,000-vehicle days of the benchmark's v2g_half workload (perfbench/run.py
+# --workload v2g_half --seed 61 or 70) whose first capped sweep refuses a
+# late vehicle: user 998 at seed 61 (10.800 kWh owed, 6.289 reachable),
+# user 1000 at seed 70 (7.200 owed, 5.932 reachable)
+BENCHMARK_FALSE_VERDICT_SEEDS = (61, 70)
 
-def half_v2g_config(n_users):
+
+def half_v2g_config(n_users, seed=None):
     cfg = load_config(REFERENCE_YAML)
     cfg.fleet.n_users = n_users
     cfg.fleet.v2g_fraction = 0.5
+    if seed is not None:
+        cfg.seed = seed
     return cfg
 
 
@@ -60,6 +71,76 @@ def test_half_v2g_fleet_plans_are_legal(n_users, monkeypatch):
         for prof, x in zip(sc.fleet, day.pev):
             audit_plan(prof, x, f"case {case}, user {prof.user_id}", TOL_KWH)
     assert np.all(cases.get(4).aggregate <= cap + TOL_KWH)
+
+
+def fleet_lp_plans(fleet, household_total, cap):
+    """Plans for the whole fleet under the demand cap from one HiGHS LP
+    with every vehicle's rate box, energy and state-of-charge band, and
+    the cap at every slot. None when HiGHS proves the LP infeasible."""
+    rows, cols, vals, b_ub, bounds, windows = [], [], [], [], [], []
+    for p in fleet:
+        first = len(bounds)
+        bounds += [(-p.rate if p.v2g else 0.0, p.rate)] * p.window_length()
+        for last in range(first + 1, len(bounds) + 1):
+            # the running sum over the window's slots up to this one
+            # keeps the battery between its reserve and its capacity
+            prefix = range(first, last)
+            rows += [len(b_ub)] * len(prefix) + [len(b_ub) + 1] * len(prefix)
+            cols += [*prefix, *prefix]
+            vals += [1.0] * len(prefix) + [-1.0] * len(prefix)
+            b_ub += [p.capacity - p.initial_soc,
+                     p.initial_soc - RESERVE * p.capacity]
+        windows.append(np.arange(p.arrival_slot - 1, p.departure_slot))
+    n = len(bounds)
+    slots = np.concatenate(windows)
+    owner = np.repeat(np.arange(len(fleet)), [len(w) for w in windows])
+    # every slot's fleet load stays under the cap's head-room
+    rows += (len(b_ub) + slots).tolist()
+    cols += range(n)
+    vals += [1.0] * n
+    b_ub += (cap - household_total).tolist()
+    res = linprog(np.zeros(n),
+                  A_ub=coo_array((vals, (rows, cols)),
+                                 shape=(len(b_ub), n)).tocsr(),
+                  b_ub=b_ub,
+                  A_eq=coo_array((np.ones(n), (owner, np.arange(n))),
+                                 shape=(len(fleet), n)).tocsr(),
+                  b_eq=[p.required_energy for p in fleet],
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    plans = np.zeros((len(fleet), N_SLOTS))
+    plans[owner, slots] = res.x
+    return plans
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(seed, marks=FALSE_CAP_VERDICT)
+    for seed in BENCHMARK_FALSE_VERDICT_SEEDS])
+def test_benchmark_v2g_day_shapes_under_its_cap(seed):
+    cfg = half_v2g_config(1000, seed)
+    sc = build_scenario(cfg)
+    cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
+    state = ScheduleState(fleet=list(sc.fleet),
+                          household_total=sc.household_total,
+                          da_profile=sc.market.da_profile)
+    shape_day_ahead(state, cfg.case.conv, cap=cap)
+
+
+def test_a_false_verdict_day_is_feasible_for_highs():
+    # the first of those days admits plans for every vehicle under the cap
+    # of kappa = 1.5, and none under kappa = 1.4, so the LP does bind
+    cfg = half_v2g_config(1000, BENCHMARK_FALSE_VERDICT_SEEDS[0])
+    sc = build_scenario(cfg)
+    hh = sc.household_total
+    cap = cap_value(hh, sc.fleet, cfg.case.kappa)
+    plans = fleet_lp_plans(sc.fleet, hh, cap)
+    assert plans is not None
+    for prof, x in zip(sc.fleet, plans):
+        audit_plan(prof, x, f"user {prof.user_id}", TOL_KWH)
+    assert np.all(hh + plans.sum(axis=0) <= cap + TOL_KWH)
+    assert fleet_lp_plans(sc.fleet, hh, cap_value(hh, sc.fleet, 1.4)) is None
 
 
 def test_half_v2g_day_is_silent(capfd):
