@@ -333,8 +333,9 @@ def sample_fleet(spec: FleetSpec, seed: int) -> List[PevProfile]:
 
 
 def _fleet_columns(spec: FleetSpec, seed: int) -> Tuple[list, np.ndarray]:
-    """The fleet's :class:`PevProfile` fields as lists, in field order, and
-    a mask of the rows whose profile :meth:`PevProfile.validate` rejects.
+    """The fleet's :class:`PevProfile` fields as sequences, in field order,
+    and a mask of the rows whose profile :meth:`PevProfile.validate`
+    rejects.
 
     The whole draw is capped and checked at once, with the bits and types
     that the same arithmetic on one vehicle's Python scalars gives.

@@ -44,8 +44,8 @@ def brute_force_oracle(sub: UserSubproblem, grid_step: float = 0.1
     States are (position, running energy sum in grid units); transitions
     enumerate every grid-aligned charge level in the slot's box. Bounds and
     the target must sit on the grid. Intended as an independent check on
-    :func:`fleetdr.subproblem.solve`; refuses instances with more than ``MAX_ORACLE_SLOTS``
-    free slots to keep runtime honest.
+    :func:`fleetdr.subproblem.solve`; refuses instances with more than
+    ``MAX_ORACLE_SLOTS`` free slots to keep runtime honest.
     """
     k = len(sub.coeff)
     if k > MAX_ORACLE_SLOTS:
