@@ -358,7 +358,7 @@ def test_sample_fleet_names_the_first_wrapped_window():
     spec = small_spec(arrival=uniform_choice([20.0, 9.0]),
                       departure=Dist("point", {"value": 10.0}),
                       day_start_hour=0, energy_grid=0.6)
-    columns, bad = _fleet_columns(spec, 4)
+    _, bad = _fleet_columns(spec, 4)
     first = int(np.argmax(bad)) + 1
     assert bad.any() and not bad.all()
     with pytest.raises(ConfigError, match=rf"^user {first}: charging window "
