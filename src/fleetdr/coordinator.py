@@ -105,9 +105,12 @@ class ScheduleState:
         if given:
             # passes only ever write window slots, so a plan must start
             # with nothing outside its window
-            outside = self.pev.copy()
-            for row, prof in zip(outside, self.fleet):
-                row[prof.window] = 0.0
+            arrival = np.array([p.arrival_slot for p in self.fleet], float)
+            departure = np.array([p.departure_slot for p in self.fleet],
+                                 float)
+            slot = np.arange(1, N_SLOTS + 1)
+            outside = (self.pev != 0.0) & ((slot < arrival[:, None])
+                                           | (slot > departure[:, None]))
             if outside.any():
                 idx = int(np.flatnonzero(outside.any(axis=1))[0])
                 raise ConfigError(
@@ -326,6 +329,21 @@ def real_time_walk(state: ScheduleState, market: MarketDay,
     return altered
 
 
+def shape_fleet(fleet: Sequence[PevProfile], household_total,
+                da_profile, conv: ConvergenceSpec, *,
+                cap: float | None = None) -> ShapedPlans:
+    """Shape everyone's day-ahead plan from zero under ``cap``.
+
+    Reads nothing but its arguments, so one shaping per distinct cap can
+    run anywhere, even in another process.
+    """
+    state = ScheduleState(fleet=list(fleet), household_total=household_total,
+                          da_profile=da_profile)
+    trace = shape_day_ahead(state, conv, cap=cap)
+    state.pev.setflags(write=False)
+    return ShapedPlans(pev=state.pev, mse_trace=tuple(trace), cap=cap)
+
+
 def simulate_day(fleet: Sequence[PevProfile], household_total,
                  market: MarketDay, conv: ConvergenceSpec, *,
                  altering: bool = True, lam_rt: float = 0.5,
@@ -333,29 +351,20 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
                  cap: float | None = None,
                  shaped: ShapedPlans | None = None) -> DayResult:
     """Full pipeline for one coordination case: shape day-ahead, then walk
-    the day in real time.
+    the day in real time from a copy of the shaped plans.
 
-    ``shaped`` skips the shaping and walks from a copy of its plans. It must
-    be the ``DayResult.shaped`` of an earlier call on the same fleet,
+    ``shaped`` skips the shaping. It must come from :func:`shape_fleet`, or
+    be the ``DayResult.shaped`` of an earlier call, on the same fleet,
     households, purchase and ``conv``, under the same ``cap``.
     """
     if shaped is None:
-        state = ScheduleState(fleet=list(fleet),
-                              household_total=household_total,
-                              da_profile=market.da_profile)
-        trace = shape_day_ahead(state, conv, cap=cap)
-        plans = state.pev.copy()
-        plans.setflags(write=False)
-        shaped = ShapedPlans(pev=plans, mse_trace=tuple(trace), cap=cap)
-    else:
-        if shaped.cap != cap:
-            raise ConfigError(f"plans shaped under cap {shaped.cap} cannot "
-                              f"start a day under cap {cap}")
-        state = ScheduleState(fleet=list(fleet),
-                              household_total=household_total,
-                              da_profile=market.da_profile,
-                              pev=shaped.pev.copy())
-        trace = list(shaped.mse_trace)
+        shaped = shape_fleet(fleet, household_total, market.da_profile, conv,
+                             cap=cap)
+    elif shaped.cap != cap:
+        raise ConfigError(f"plans shaped under cap {shaped.cap} cannot "
+                          f"start a day under cap {cap}")
+    state = ScheduleState(fleet=list(fleet), household_total=household_total,
+                          da_profile=market.da_profile, pev=shaped.pev.copy())
     da_agg = state.aggregate
     altered = real_time_walk(state, market, conv, altering=altering,
                              lam=lam_rt, trigger=trigger,
@@ -366,6 +375,7 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
         raise InfeasibleError(
             f"aggregate exceeds the demand cap at slot {worst} "
             f"({agg[worst - 1]:.6f} > {cap:.6f})", constraint="demand cap")
+    trace = list(shaped.mse_trace)
     return DayResult(pev=state.pev, aggregate=agg, da_aggregate=da_agg,
                      da_mse_trace=trace, altered_slots=altered,
                      converged=trace[-1] < conv.mse_tol, shaped=shaped)

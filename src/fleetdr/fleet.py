@@ -176,11 +176,16 @@ class Dist:
                 raise ConfigError(f"{name}: family {self.family!r} needs "
                                   f"parameter {key!r}")
             v = p[key]
-            if not (isinstance(v, (list, tuple)) and all(map(_finite_number, v))
-                    if many else _finite_number(v)):
-                raise ConfigError(f"{name}.{key}: expected a finite "
-                                  f"{'number list' if many else 'number'}, "
-                                  f"got {v!r}")
+            listed = isinstance(v, (list, tuple))
+            bad = [x for x in (v if many and listed else [v])
+                   if not _finite_number(x)]
+            if bad or many and not listed:
+                # only a float can be a number that is not finite
+                finite = listed == many and all(isinstance(x, float)
+                                                for x in bad)
+                raise ConfigError(f"{name}.{key}: expected a "
+                                  f"{'finite ' if finite else ''}number"
+                                  f"{' list' if many else ''}, got {v!r}")
         if self.family == "truncnorm":
             if p["std"] <= 0:
                 raise ConfigError(f"{name}: std must be positive")
@@ -201,9 +206,17 @@ class Dist:
                 raise ConfigError(f"{name}: values/probs must be same nonzero length")
             if abs(sum(p["probs"]) - 1.0) > 1e-9:
                 raise ConfigError(f"{name}: probs must sum to 1")
-        if self.round_to is not None and not (_finite_number(self.round_to)
-                                              and self.round_to > 0):
-            raise ConfigError(f"{name}: round_to must be a positive number")
+        if self.round_to is not None:
+            if not (_finite_number(self.round_to) and self.round_to > 0):
+                raise ConfigError(f"{name}: round_to must be a positive "
+                                  "number")
+            # sample() divides every sample by round_to
+            widest = max(map(abs, p["values"] if many else [p["value"]]
+                             if self.family == "point" else [p["lo"], p["hi"]]))
+            if not math.isfinite(widest / self.round_to):
+                raise ConfigError(
+                    f"{name}: round_to {self.round_to!r} is too small: a "
+                    f"sample of {widest!r} divided by it overflows")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p = self.params

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import signal
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .coordinator import (ConvergenceSpec, DayResult, ShapedPlans, cap_value,
-                          simulate_day)
+                          shape_fleet, simulate_day)
 from .errors import ConfigError, DataError
 from .fleet import (N_SLOTS, PevProfile, as_profile, uncoordinated_profile,
                     write_csv, write_slot_csv)
@@ -112,6 +115,72 @@ def _priced(market: MarketDay, purchased: np.ndarray,
     return procurement_cost(day, actual)
 
 
+@contextmanager
+def _forked(fn, *args, **kwargs):
+    """Start ``fn(*args, **kwargs)`` in a forked worker; yields a callable
+    that waits for the worker and returns its result or raises its
+    exception.
+
+    The worker sees the caller's memory copy-on-write and sends back only
+    the pickled outcome, through a pipe. An exception that does not pickle
+    comes back as a ``RuntimeError`` carrying its ``repr``. The worker
+    leaves through ``os._exit``, so it never returns into the caller,
+    flushes inherited stdio buffers or runs ``atexit`` handlers. A worker
+    not collected by the end of the ``with`` block is killed and reaped.
+    Without ``os.fork`` the callable runs ``fn`` in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield lambda: fn(*args, **kwargs)
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*args, **kwargs))
+            except BaseException as exc:
+                outcome = (False, exc)
+            try:
+                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                pickle.loads(data)  # what the parent will do with it
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(outcome[1]))))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def collect():
+        nonlocal reaped
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if not data:
+            raise RuntimeError(
+                f"forked worker ended without a result (wait status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield collect
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
               config: CaseConfig | None = None) -> CaseComparison:
     """Run all four coordination cases on one fleet and price day.
@@ -119,9 +188,14 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     Every case sees the identical fleet, households and prices. Each
     coordinated case's day-ahead position is its own shaped aggregate, so
     imbalance settles exactly the real-time deviations that case makes;
-    the uncoordinated case buys everything in real time. Shaping runs once
-    per distinct cap: cases 2 and 3 (and case 4 when ``kappa`` is None)
-    walk from copies of the same shaped plans.
+    the uncoordinated case buys everything in real time.
+
+    Shaping runs once per distinct cap: cases 2 and 3 (and case 4 when
+    ``kappa`` is None) walk from copies of the same shaped plans. When
+    ``kappa`` is set, a forked worker shapes under the cap while this
+    process runs cases 2 and 3; case 4 then walks from the worker's plans,
+    or raises the worker's exception. Each case's ``simulate_day`` call
+    stays in this process, in case order.
     """
     config = config if config is not None else CaseConfig()
     config.validate()
@@ -136,17 +210,24 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
            if config.kappa is not None else None)
     runs = [(2, False, None), (3, True, None), (4, True, cap)]
     shaped: Dict[float | None, ShapedPlans] = {}  # by cap
-    for case, altering, case_cap in runs:
-        day = simulate_day(fleet, hh, market, config.conv, altering=altering,
-                           lam_rt=config.lam_rt, trigger=config.trigger,
-                           t0_term_scale=config.t0_term_scale, cap=case_cap,
-                           shaped=shaped.get(case_cap))
-        shaped.setdefault(case_cap, day.shaped)
-        results.append(CaseResult(
-            case, CASE_LABELS[case],
-            _priced(market, day.da_aggregate, day.aggregate),
-            day.aggregate, day.da_aggregate,
-            list(day.da_mse_trace), list(day.altered_slots), day.converged))
+    with (_forked(shape_fleet, fleet, hh, market.da_profile, config.conv,
+                  cap=cap) if cap is not None else nullcontext()) as capped:
+        for case, altering, case_cap in runs:
+            if case_cap is not None:  # case 4 only
+                shaped[case_cap] = capped()
+                shaped[case_cap].pev.setflags(write=False)
+            day = simulate_day(fleet, hh, market, config.conv,
+                               altering=altering, lam_rt=config.lam_rt,
+                               trigger=config.trigger,
+                               t0_term_scale=config.t0_term_scale,
+                               cap=case_cap, shaped=shaped.get(case_cap))
+            shaped.setdefault(case_cap, day.shaped)
+            results.append(CaseResult(
+                case, CASE_LABELS[case],
+                _priced(market, day.da_aggregate, day.aggregate),
+                day.aggregate, day.da_aggregate,
+                list(day.da_mse_trace), list(day.altered_slots),
+                day.converged))
 
     deltas = {}
     for i, a in enumerate(results):

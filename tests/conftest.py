@@ -6,6 +6,7 @@ by every test that only reads it; tests that mutate schedule state build
 their own copies.
 """
 
+import json
 import os
 
 import numpy as np
@@ -91,6 +92,45 @@ def with_each_yaml_loader(monkeypatch, parse):
     assert [loader.__bases__ for loader in used] == [
         (base,) for base in expected]
     return first, second
+
+
+class EventLog:
+    """Events that survive a fork: one JSON line each, appended to a file
+    opened ``O_APPEND``, so a worker that ``run_cases`` forks logs into the
+    same file as the test that forked it."""
+
+    def __init__(self, path):
+        self._pid = os.getpid()
+        self._path = path
+        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def add(self, name, value=1):
+        line = json.dumps([os.getpid(), name, value]) + "\n"
+        os.write(self._fd, line.encode())  # one write, so lines never mix
+
+    def values(self, name):
+        """The values logged under ``name``: this process's first, then
+        those of the processes it forked, each in the order logged."""
+        with open(self._path) as fh:
+            rows = [json.loads(line) for line in fh]
+        rows.sort(key=lambda row: row[0] != self._pid)  # stable
+        return [value for _, logged, value in rows if logged == name]
+
+    def __getitem__(self, name):
+        return sum(self.values(name))
+
+    def clear(self):
+        os.ftruncate(self._fd, 0)
+
+    def close(self):
+        os.close(self._fd)
+
+
+@pytest.fixture
+def event_log(tmp_path):
+    log = EventLog(tmp_path / "events.jsonl")
+    yield log
+    log.close()
 
 
 @pytest.fixture(scope="session")

@@ -46,13 +46,13 @@ def test_paced_pass_resolves():
     assert callable(getattr(coordinator, "best_response_pass", None))
 
 
-def test_pacing_and_day_capture_see_every_call(monkeypatch):
+def test_pacing_and_day_capture_see_every_call(monkeypatch, event_log):
     # run.py imports its sibling modules by name
     monkeypatch.syspath_prepend(PERFBENCH)
     run = load_perfbench("run")
     calibrator = load_perfbench("calibrate").Calibrator()
-    paced = []
-    calibrator.tick = lambda: paced.append(None)  # count, time nothing
+    # count, time nothing; the capped shaping paces in a forked worker
+    calibrator.tick = lambda: event_log.add("tick")
 
     cfg = load_config(REFERENCE_YAML)
     cfg.fleet.n_users = 20
@@ -60,6 +60,7 @@ def test_pacing_and_day_capture_see_every_call(monkeypatch):
     sc = build_scenario(cfg)
     with run.capture_days(report) as days, calibrator.pacing(coordinator):
         report.run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+    paced = event_log.values("tick")
 
     assert len(days) == 3  # cases 2, 3 and 4
     # cases 2 and 3 share one shaping; each shaping's sweeps are passes

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,60 @@ def test_dist_validate_errors():
     with pytest.raises(ConfigError, match="arrival: .* normal's mass"):
         Dist("truncnorm", {"mean": 0, "std": 1, "lo": 9, "hi": 10}
              ).validate("arrival")
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"mean": "abc"}, "fleet.arrival.mean: expected a number, got 'abc'"),
+    ({"mean": True}, "fleet.arrival.mean: expected a number, got True"),
+    ({"mean": float("inf")},
+     "fleet.arrival.mean: expected a finite number, got inf"),
+    ({"std": float("nan")},
+     "fleet.arrival.std: expected a finite number, got nan"),
+])
+def test_dist_names_a_bad_number_for_what_it_is(params, message):
+    dist = Dist("truncnorm", {"mean": 19.0, "std": 1.0, "lo": 15.0,
+                              "hi": 21.0, **params})
+    with pytest.raises(ConfigError) as err:
+        dist.validate("fleet.arrival")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1, "2"], "expected a number list, got [1, '2']"),
+    ([1, float("nan")], "expected a finite number list, got [1, nan]"),
+    (3.0, "expected a number list, got 3.0"),
+])
+def test_dist_names_a_bad_number_list_for_what_it_is(values, message):
+    dist = Dist("choice", {"values": values, "probs": [0.5, 0.5]})
+    with pytest.raises(ConfigError) as err:
+        dist.validate("fleet.initial_soc")
+    assert str(err.value) == f"fleet.initial_soc.values: {message}"
+
+
+@pytest.mark.parametrize("dist", [
+    Dist("point", {"value": 19.0}, round_to=1e-320),
+    Dist("uniform", {"lo": -1e308, "hi": 0.0}, round_to=0.1),
+    Dist("choice", {"values": [0.5, 1e308], "probs": [0.5, 0.5]},
+         round_to=0.5),
+    Dist("truncnorm", {"mean": 0.0, "std": 1e307, "lo": -1e307,
+                       "hi": 1e307}, round_to=1e-2),
+])
+def test_dist_rejects_a_round_to_that_overflows_its_samples(dist):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"fleet.arrival: round_to "
+                           r"\S+ is too small"):
+            dist.validate("fleet.arrival")
+
+
+def test_a_tiny_round_to_that_fits_still_samples():
+    dist = Dist("point", {"value": 19.0}, round_to=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist.validate("fleet.arrival")
+        x = dist.sample(np.random.default_rng(0), 5)
+    assert np.all(np.isfinite(x))
+    assert x == pytest.approx(19.0)
 
 
 def test_dist_sampling_is_deterministic():

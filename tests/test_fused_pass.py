@@ -46,33 +46,32 @@ def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
 
 
 @pytest.fixture
-def checked_passes(monkeypatch):
+def checked_passes(monkeypatch, event_log):
     """Run the reference pass beside every fused pass of a day and compare
     plans; count passes, walk passes, the vehicles the passes visit and the
-    fused pass's solves by method."""
-    counts = {"passes": 0, "walk_passes": 0, "visits": 0, "greedy": 0,
-              "exact": 0, "empty": 0}
+    fused pass's solves by method, in this process and in the shaping
+    worker ``run_cases`` forks."""
     fused, kernel = coordinator.best_response_pass, coordinator.solve_vehicle
 
     def counted_solve(lp, box, coeff, order):
         x, method = kernel(lp, box, coeff, order)
-        counts[method] += 1
+        event_log.add(method)
         return x, method
 
     def checked_pass(state, **kwargs):
         expected = copy.deepcopy(state)
         reference_pass(expected, **kwargs)
         fused(state, **kwargs)
-        counts["passes"] += 1
-        counts["walk_passes"] += state.realized_upto > 0
+        event_log.add("passes")
+        event_log.add("walk_passes", int(state.realized_upto > 0))
         users = kwargs.get("users")
-        counts["visits"] += len(state.fleet if users is None else users)
+        event_log.add("visits", len(state.fleet if users is None else users))
         assert np.array_equal(state.pev, expected.pev), \
-            f"pass {counts['passes']} ({kwargs}) left other plans"
+            f"pass {event_log['passes']} ({kwargs}) left other plans"
 
     monkeypatch.setattr(coordinator, "solve_vehicle", counted_solve)
     monkeypatch.setattr(coordinator, "best_response_pass", checked_pass)
-    return counts
+    return event_log
 
 
 def test_reference_day_passes_match_bit_for_bit(

@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
 
+from conftest import REFERENCE_YAML
+from test_v2g_fleet import half_v2g_config
+
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
-from fleetdr.coordinator import ConvergenceSpec, DayResult, cap_value
-from fleetdr.errors import ConfigError, DataError
+from fleetdr.coordinator import (ConvergenceSpec, DayResult, ScheduleState,
+                                 cap_value, shape_day_ahead, simulate_day)
+from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import Dist, FleetSpec, N_SLOTS, sample_fleet
 from fleetdr.market import (
     CostBreakdown,
@@ -29,6 +35,7 @@ from fleetdr.report import (
     emit,
     run_cases,
 )
+from fleetdr.scenario import build_scenario, load_config
 
 
 def small_fleet(n=40, seed=6, v2g=0.0):
@@ -184,18 +191,17 @@ def test_run_cases_cap_binds_case4():
 # ---------------------------------------------------------------------------
 # one shaping per distinct cap
 
-def count_shapings(monkeypatch):
-    """Record the cap of every ``shape_day_ahead`` call the coordinator
-    makes."""
-    caps = []
+def count_shapings(monkeypatch, event_log):
+    """Log the cap of every ``shape_day_ahead`` call the coordinator makes,
+    in this process or a worker it forks, under ``"shape"``."""
     shape = coordinator.shape_day_ahead
 
     def counted(state, conv, *, cap=None):
-        caps.append(cap)
+        event_log.add("shape", cap)
         return shape(state, conv, cap=cap)
 
     monkeypatch.setattr(coordinator, "shape_day_ahead", counted)
-    return caps
+    return event_log
 
 
 def keep_days(monkeypatch):
@@ -211,13 +217,15 @@ def keep_days(monkeypatch):
     return days
 
 
-def test_run_cases_shapes_once_per_distinct_cap(monkeypatch):
+def test_run_cases_shapes_once_per_distinct_cap(monkeypatch, event_log):
     fleet, hh, market = build_inputs()
-    caps = count_shapings(monkeypatch)
+    log = count_shapings(monkeypatch, event_log)
     run_cases(fleet, hh, market, CaseConfig(kappa=1.5, t0_term_scale=1000.0))
+    caps = log.values("shape")
     assert caps == [None, cap_value(hh, fleet, 1.5)]
-    caps.clear()
+    log.clear()
     run_cases(fleet, hh, market, CaseConfig(t0_term_scale=1000.0))
+    caps = log.values("shape")
     assert caps == [None]
 
 
@@ -273,6 +281,161 @@ def test_small_v2g_day_reports_running_out_of_sweeps(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [c["converged"] for c in summary["cases"]] == [
         None, False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# the capped shaping's forked worker
+
+def log_shaping_pids(monkeypatch, event_log):
+    """Log the process of every ``shape_day_ahead`` call under
+    ``"shaped in"``."""
+    shape = coordinator.shape_day_ahead
+
+    def logged(state, conv, *, cap=None):
+        event_log.add("shaped in", os.getpid())
+        return shape(state, conv, cap=cap)
+
+    monkeypatch.setattr(coordinator, "shape_day_ahead", logged)
+
+
+def serial_days(sc, case):
+    """Cases 2-4 as ``simulate_day`` runs in this process, each shaping
+    its own plans."""
+    cap = (cap_value(sc.household_total, sc.fleet, case.kappa)
+           if case.kappa is not None else None)
+    return [simulate_day(sc.fleet, sc.household_total, sc.market, case.conv,
+                         altering=altering, lam_rt=case.lam_rt,
+                         trigger=case.trigger,
+                         t0_term_scale=case.t0_term_scale, cap=day_cap)
+            for altering, day_cap in ((False, None), (True, None),
+                                      (True, cap))]
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(lambda: load_config(REFERENCE_YAML), id="reference"),
+    pytest.param(lambda: half_v2g_config(200), id="half_v2g_200"),
+])
+def test_forked_cases_match_serial_days_bit_for_bit(config, monkeypatch,
+                                                    event_log):
+    cfg = config()
+    sc = build_scenario(cfg)
+    log_shaping_pids(monkeypatch, event_log)
+    days = keep_days(monkeypatch)
+    run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+    # the capped shaping ran in another process
+    assert event_log.values("shaped in")[0] == os.getpid()
+    assert len(set(event_log.values("shaped in"))) == 2
+    assert len(days) == 3
+    # the worker's plans come back read-only, as in-process ones are
+    assert not days[2].shaped.pev.flags.writeable
+    for case, got, want in zip((2, 3, 4), days, serial_days(sc, cfg.case)):
+        for name in ("pev", "aggregate", "da_aggregate"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), f"case {case} {name}"
+        assert got.da_mse_trace == want.da_mse_trace, f"case {case}"
+        assert got.altered_slots == want.altered_slots, f"case {case}"
+        assert got.converged == want.converged, f"case {case}"
+
+
+def test_a_false_verdict_in_the_worker_reaches_the_caller_unchanged():
+    # the 100-vehicle half-V2G day's first capped sweep refuses user 98
+    cfg = half_v2g_config(100)
+    sc = build_scenario(cfg)
+    state = ScheduleState(fleet=list(sc.fleet),
+                          household_total=sc.household_total,
+                          da_profile=sc.market.da_profile)
+    cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
+    with pytest.raises(InfeasibleError) as serial:
+        shape_day_ahead(state, cfg.case.conv, cap=cap)
+    with pytest.raises(InfeasibleError) as forked:
+        run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+
+    def fields(err):
+        return str(err), err.user_id, err.constraint, err.detail
+
+    assert serial.value.user_id == 98
+    assert serial.value.constraint == "demand cap"
+    assert fields(forked.value) == fields(serial.value)
+    assert fields(pickle.loads(pickle.dumps(serial.value))) == fields(
+        serial.value)
+
+
+def raise_local():
+    class Local(Exception):  # a class pickle cannot find by name
+        pass
+
+    raise Local("no pickle")
+
+
+def exit_3():
+    raise SystemExit(3)
+
+
+def test_a_worker_exception_comes_back_to_the_caller():
+    with report._forked(raise_local) as collect:
+        with pytest.raises(RuntimeError, match=r"Local\('no pickle'\)"):
+            collect()
+    with report._forked(exit_3) as collect:
+        with pytest.raises(SystemExit) as err:
+            collect()
+    assert err.value.code == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def reference_inputs():
+    sc = build_scenario(load_config(REFERENCE_YAML))
+    return sc.fleet, sc.household_total, sc.market
+
+
+@pytest.mark.parametrize("inputs", [
+    pytest.param(build_inputs, id="fits_the_pipe"),
+    # 1,000 plans outgrow the pipe, so the worker blocks writing them
+    pytest.param(reference_inputs, id="fills_the_pipe"),
+])
+def test_a_failing_case_leaves_no_worker(inputs, monkeypatch):
+    fleet, hh, market = inputs()
+    walk = coordinator.real_time_walk
+    walks = []
+
+    def walk_fails_in_case_3(*args, **kwargs):
+        walks.append(kwargs["altering"])
+        if len(walks) == 2:
+            raise RuntimeError("case 3 failed")
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "real_time_walk", walk_fails_in_case_3)
+    with pytest.raises(RuntimeError, match="case 3 failed"):
+        run_cases(fleet, hh, market,
+                  CaseConfig(kappa=1.5, t0_term_scale=1000.0))
+    assert walks == [False, True]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_without_fork_every_case_runs_in_process(monkeypatch, event_log):
+    fleet, hh, market = build_inputs()
+    config = CaseConfig(kappa=1.5, t0_term_scale=1000.0)
+    forked = run_cases(fleet, hh, market, config)
+    log_shaping_pids(monkeypatch, event_log)
+    monkeypatch.delattr(os, "fork")
+    in_process = run_cases(fleet, hh, market, config)
+    assert event_log.values("shaped in") == [os.getpid()] * 2
+    for a, b in zip(forked.results, in_process.results):
+        assert a.aggregate.tobytes() == b.aggregate.tobytes()
+        assert a.purchased.tobytes() == b.purchased.tobytes()
+        assert (a.total_cost, a.da_mse_trace, a.altered_slots, a.converged) \
+            == (b.total_cost, b.da_mse_trace, b.altered_slots, b.converged)
+    assert forked.deltas == in_process.deltas
+
+
+def test_no_cap_forks_no_worker(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked without a cap")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    comp = run_cases(*build_inputs(), CaseConfig(t0_term_scale=1000.0))
+    assert comp.get(4).total_cost == comp.get(3).total_cost
 
 
 # ---------------------------------------------------------------------------
