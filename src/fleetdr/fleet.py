@@ -213,7 +213,7 @@ class Dist:
             # sample() divides every sample by round_to
             widest = max(map(abs, p["values"] if many else [p["value"]]
                              if self.family == "point" else [p["lo"], p["hi"]]))
-            if not math.isfinite(widest / self.round_to):
+            if not math.isfinite(float(widest) / float(self.round_to)):
                 raise ConfigError(
                     f"{name}: round_to {self.round_to!r} is too small: a "
                     f"sample of {widest!r} divided by it overflows")

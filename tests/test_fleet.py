@@ -180,6 +180,7 @@ def test_dist_names_a_bad_number_list_for_what_it_is(values, message):
          round_to=0.5),
     Dist("truncnorm", {"mean": 0.0, "std": 1e307, "lo": -1e307,
                        "hi": 1e307}, round_to=1e-2),
+    Dist("point", {"value": np.float64(1e308)}, round_to=np.float64(0.1)),
 ])
 def test_dist_rejects_a_round_to_that_overflows_its_samples(dist):
     with warnings.catch_warnings():
