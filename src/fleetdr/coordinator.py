@@ -32,7 +32,10 @@ ran the exact program, which neighbours in sorted order tied. The greedy
 pour reads the prices only through that argsort, and the exact program
 only compares them, so when all of it repeats the solve would return the
 plan the vehicle already holds, bit for bit. The pass skips such a solve
-and its no-op update of the aggregate. Only passes write plans, and the
+and its no-op update of the aggregate. A solve that runs anyway and
+returns the held plan's bytes (a new order that moves only slots the plan
+leaves alone, say) writes nothing either: the update it skips would add
++0.0, and the aggregate never holds -0.0. Only passes write plans, and the
 record goes with the LP when the walk freezes another slot.
 """
 
@@ -220,8 +223,10 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         x, method = solve_vehicle(lp, box, coeff, order)
         cached[2] = (ranks, up,
                      _ties(coeff, order) if method == "exact" else None)
-        agg_pev[free] += x - plan[free]
-        plan[free] = x
+        held = plan[free]
+        if x.tobytes() != held.tobytes():  # else the update adds +0.0
+            agg_pev[free] += x - held
+            held[:] = x
 
 
 def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec,

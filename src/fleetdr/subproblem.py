@@ -211,7 +211,9 @@ def _pour(x: List[float], width: List[float], remaining: float,
     for i in order.tolist():
         if remaining <= 0:
             break
-        add = min(width[i], remaining)
+        add = width[i]
+        if remaining < add:  # min(width[i], remaining), without the call
+            add = remaining
         x[i] += add
         remaining -= add
     return x
@@ -236,37 +238,43 @@ def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
     interval starts, where the pieces cheaper than the slot's price end,
     where the pieces tied with it end, and where the interval ends. The
     forward pass takes them as it goes and keeps no copy of the pieces.
-    Each sum adds the lengths in list order from 0. A right trim can leave
-    an equal-slope group's lengths out of order, so the pieces stay (slope,
-    length) tuples and a new piece goes where the tuple bisect puts it;
-    that keeps the order, and so every sum's rounding, as it always was.
+    Each sum adds the lengths in list order from 0.
+
+    The pieces are two parallel lists, their slopes as plain floats and
+    their lengths, so a bisect on the slopes compares floats. A right trim
+    can leave an equal-slope group's lengths out of order, and the order
+    fixes every sum's rounding. So a new piece whose slope no piece has
+    goes where its slope sorts, and only one that ties a group goes where
+    the (slope, length) tuple bisect puts it, as it always has. The loops
+    write each ``min``/``max`` as the comparisons the builtin makes, the
+    first argument winning ties, since a builtin call costs about as much
+    as the rest of a step.
     """
     start = 0.0
-    pieces: List[tuple[float, float]] = []
+    slopes: List[float] = []  # the pieces' slopes, ascending
     lens: List[float] = []  # the pieces' lengths, in the same order
     total = 0  # sum(lens)
     stages = []  # (start, cheap_end, tie_end, end) before each slot
     for i, c in enumerate(coeff):
-        # (c,) sorts before every piece of slope c, (c, inf) after them all
-        j = bisect.bisect_left(pieces, (c,))
-        cheap_end = start + sum(lens[:j])
-        tie_end = cheap_end + sum(
-            lens[j:bisect.bisect_right(pieces, (c, np.inf), j)])
+        j = bisect.bisect_left(slopes, c)
+        k = bisect.bisect_right(slopes, c, j)  # the pieces of slope c: j:k
+        cheap_end = start + sum(lens[:j])  # never -0.0, so + 0 is exact
+        tie_end = cheap_end if j == k else cheap_end + sum(lens[j:k])
         stages.append((start, cheap_end, tie_end, start + total))
         start += lo[i]
         if up[i] > lo[i]:
-            piece = (c, up[i] - lo[i])
-            j = bisect.bisect_right(pieces, piece)
-            pieces.insert(j, piece)
-            lens.insert(j, piece[1])
+            width = up[i] - lo[i]
+            if j < k:
+                j = bisect.bisect_right(list(zip(slopes, lens)), (c, width))
+            slopes.insert(j, c)
+            lens.insert(j, width)
         if start < floor:
             cut = floor - start
             while lens and lens[0] <= cut:
                 cut -= lens.pop(0)
-                del pieces[0]
+                del slopes[0]
             if lens:
                 lens[0] -= cut
-                pieces[0] = (pieces[0][0], lens[0])
             elif cut > FEAS_TOL:
                 return None
             start = floor
@@ -276,25 +284,38 @@ def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
             cut = end - ceiling
             while lens and lens[-1] <= cut:
                 cut -= lens.pop()
-                pieces.pop()
+                slopes.pop()
             if lens:
                 lens[-1] -= cut
-                pieces[-1] = (pieces[-1][0], lens[-1])
             elif cut > FEAS_TOL:
                 return None
             total = sum(lens)
     if not start - FEAS_TOL <= target <= start + total + FEAS_TOL:
         return None
 
-    x = []
+    x = [0.0] * len(lo)
     s = target
     for i in range(len(lo) - 1, -1, -1):
         start, cheap_end, tie_end, end = stages[i]
-        best = min(max(s, cheap_end), tie_end)
-        prev = min(max(best, start, s - up[i]), end, s - lo[i])
-        x.append(s - prev)
+        # best = min(max(s, cheap_end), tie_end)
+        prev = s
+        if cheap_end > prev:
+            prev = cheap_end
+        if tie_end < prev:
+            prev = tie_end
+        # prev = min(max(best, start, s - up[i]), end, s - lo[i])
+        if start > prev:
+            prev = start
+        bound = s - up[i]
+        if bound > prev:
+            prev = bound
+        if end < prev:
+            prev = end
+        bound = s - lo[i]
+        if bound < prev:
+            prev = bound
+        x[i] = s - prev
         s = prev
-    x.reverse()
     return np.array(x)
 
 

@@ -141,6 +141,36 @@ def test_a_new_cap_head_room_is_solved_again(checked_passes):
     assert (checked_passes["greedy"], checked_passes["exact"]) == (2, 0)
 
 
+def test_a_solve_that_returns_the_held_plan_writes_nothing(monkeypatch):
+    solves = []
+    kernel = coordinator.solve_vehicle
+
+    def counted_solve(*args):
+        solves.append(kernel(*args))
+        return solves[-1]
+
+    # free slots 5-10; the 1.8 kWh owed fills slot 6, the cheapest, alone
+    state = one_vehicle_state(arrival_slot=5, departure_slot=10,
+                              required_energy=1.8, rate=1.8, capacity=24.0,
+                              initial_soc=12.0)
+    prices = np.zeros(N_SLOTS)
+    prices[4:10] = [3.0, 1.0, 2.0, 4.0, 5.0, 6.0]
+    state.da_profile = state.household_total - prices
+    monkeypatch.setattr(coordinator, "solve_vehicle", counted_solve)
+    best_response_pass(state)
+    plan = state.pev.tobytes()
+    assert state.pev[0, 5] == 1.8 and state.pev.sum() == 1.8
+    # a new order among the slots the pour leaves at 0 only
+    prices[4:10] = [6.0, 1.0, 5.0, 4.0, 3.0, 2.0]
+    state.da_profile = state.household_total - prices
+    state.pev.setflags(write=False)
+    best_response_pass(state)
+    # the memo could not skip the solve, since the argsort changed
+    assert [method for _, method in solves] == ["greedy", "greedy"]
+    assert solves[0][0].tobytes() == solves[1][0].tobytes()
+    assert state.pev.tobytes() == plan
+
+
 # ---------------------------------------------------------------------------
 # error paths: the fused pass fails as the reference pass does
 
