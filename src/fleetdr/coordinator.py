@@ -162,7 +162,12 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
         raise ConfigError(f"kappa must be positive, got {kappa}")
     hh = as_profile(household_total)
     total = float(hh.sum()) + sum(p.required_energy for p in fleet)
-    return kappa * total / N_SLOTS
+    cap = kappa * total / N_SLOTS
+    if not math.isfinite(cap):
+        raise ConfigError(f"kappa {kappa!r} is too large: times the day's "
+                          f"mean demand, {total / N_SLOTS:.6g} kWh, it "
+                          "overflows")
+    return cap
 
 
 def _ties(coeff: np.ndarray, order: np.ndarray) -> bytes:

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 N_SLOTS = 24
+# the most rows numpy can give a (n, N_SLOTS) float array, such as the
+# households' per-user profiles
+MAX_USERS = np.iinfo(np.intp).max // (N_SLOTS * np.dtype(float).itemsize)
 
 FLEET_CSV_HEADER = ["user_id", "arrival", "departure", "energy_kwh",
                     "capacity_kwh", "soc0_kwh", "rate_kw", "v2g"]
@@ -307,10 +310,19 @@ class FleetSpec:
     def validate(self) -> None:
         if self.n_users < 0:
             raise ConfigError(f"fleet.n_users must be >= 0, got {self.n_users}")
+        if self.n_users > MAX_USERS:
+            raise ConfigError(
+                f"fleet.n_users must be at most {MAX_USERS}, the most rows "
+                f"a (n_users, {N_SLOTS}) float array can have, got "
+                f"{self.n_users}")
         if self.capacity_kwh <= 0:
             raise ConfigError("fleet.capacity_kwh must be positive")
         if self.rate_kw <= 0:
             raise ConfigError("fleet.rate_kw must be positive")
+        if not math.isfinite(N_SLOTS * self.rate_kw):
+            raise ConfigError(
+                f"fleet.rate_kw {self.rate_kw!r} is too large: a day of "
+                f"{N_SLOTS} slots at that rate overflows")
         if not 0.0 <= self.v2g_fraction <= 1.0:
             raise ConfigError("fleet.v2g_fraction must be in [0, 1]")
         if not 0 <= self.day_start_hour <= 23:
@@ -365,11 +377,12 @@ def _fleet_columns(spec: FleetSpec, seed: int) -> Tuple[list, np.ndarray]:
     a = hour_to_slot(arrivals, spec.day_start_hour)
     b = hour_to_slot(departures, spec.day_start_hour)
     soc0 = np.clip(soc_frac, 0.0, 1.0) * cap
-    e_raw = rate * np.maximum(0.0, hours)
     # Python floats overflow to inf without a warning; so do these
     with np.errstate(over="ignore", invalid="ignore"):
+        e_raw = rate * np.maximum(0.0, hours)
         headroom = cap - soc0
-        window_cap = rate * (b - a + 1)
+        # float slot counts: an int rate past int64 cannot scale int64s
+        window_cap = rate * (b - a + 1.0)
         e = np.minimum(np.minimum(e_raw, headroom), window_cap)
         if grid is not None:
             # capped: snap down to the grid so the cap is never exceeded
@@ -425,6 +438,11 @@ class HouseholdSpec:
                 raise ConfigError(f"households.{name} must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("households.noise_sigma must be >= 0")
+        # baseline_household squares it; a float's ** raises on overflow
+        if not math.isfinite(self.noise_sigma * self.noise_sigma):
+            raise ConfigError(
+                f"households.noise_sigma {self.noise_sigma!r} is too large: "
+                "its square overflows")
 
     def base_shape(self) -> np.ndarray:
         """Unit-mean hourly shape (24,)."""
@@ -434,10 +452,23 @@ class HouseholdSpec:
             d = np.minimum(np.abs(t - center), N_SLOTS - np.abs(t - center))
             return (height - self.valley) * np.exp(-0.5 * (d / width) ** 2)
 
-        shape = (np.full(N_SLOTS, self.valley)
-                 + bump(self.evening_slot, self.evening_width, self.evening_peak)
-                 + bump(self.morning_slot, self.morning_width, self.morning_peak))
-        return shape / shape.mean()
+        # a tiny width sends d / width to inf, and the bump's tail to its
+        # limit 0. The shape lies between the valley and the peaks, so it
+        # can only overflow or, where a huge level cancels, round below 0
+        with np.errstate(over="ignore"):
+            shape = (np.full(N_SLOTS, self.valley)
+                     + bump(self.evening_slot, self.evening_width,
+                            self.evening_peak)
+                     + bump(self.morning_slot, self.morning_width,
+                            self.morning_peak))
+            mean = shape.mean()
+        if not (math.isfinite(mean) and shape.min() >= 0):
+            raise ConfigError(
+                f"households.valley {self.valley!r}, evening_peak "
+                f"{self.evening_peak!r} and morning_peak "
+                f"{self.morning_peak!r} give a load shape that overflows or "
+                "rounds below 0")
+        return shape / mean
 
 
 def baseline_household(spec: HouseholdSpec, n_users: int, seed: int) -> np.ndarray:

@@ -317,7 +317,14 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     fleet = sample_fleet(cfg.fleet, cfg.seed + FLEET_SEED_OFFSET)
     per_user = baseline_household(cfg.households, cfg.fleet.n_users,
                                   cfg.seed + HOUSEHOLD_SEED_OFFSET)
-    household_total = per_user.sum(axis=0)
+    with np.errstate(over="ignore"):
+        household_total = per_user.sum(axis=0)
+        day_total = household_total.sum()
+    if not np.isfinite(day_total):
+        raise ConfigError(
+            f"households.mean_daily_kwh {cfg.households.mean_daily_kwh!r} is "
+            f"too large: the day's total over {cfg.fleet.n_users} households "
+            "overflows")
     if cfg.market_files is not None:
         market = load_market_day(cfg.market_files)
     else:

@@ -124,8 +124,9 @@ def vehicle_lp(profile: PevProfile, history: np.ndarray,
     key = (k, profile.rate, profile.v2g)
     box = None if boxes is None else boxes.get(key)
     if box is None:
-        box = _box(np.full(k, -profile.rate if profile.v2g else 0.0),
-                   np.full(k, profile.rate))
+        # float boxes, also for an int rate: one past int64 would overflow
+        box = _box(np.full(k, -profile.rate if profile.v2g else 0.0, float),
+                   np.full(k, profile.rate, float))
         if boxes is not None:
             boxes[key] = box
     return VehicleLp(profile.user_id, slice(first - 1, profile.departure_slot),

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import FLAT_DAY_YAML, REPO_ROOT, with_each_yaml_loader
+from conftest import (FLAT_DAY_YAML, REFERENCE_YAML, REPO_ROOT,
+                      with_each_yaml_loader)
 
 from fleetdr.cli import (
     EXIT_CONFIG,
@@ -262,6 +265,73 @@ def test_mistyped_config_value_exits_config(tmp_path, capsys, section, key,
     assert main(["gen-fleet", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"{where}: expected" in capsys.readouterr().err
+
+
+def reference_day_with(tmp_path, key, value, n_users=30):
+    """``configs/reference.yaml`` at ``n_users`` vehicles with the dotted
+    ``key`` set to ``value``."""
+    with open(REFERENCE_YAML) as fh:
+        raw = yaml.safe_load(fh)
+    raw["fleet"]["n_users"] = n_users
+    *parents, leaf = key.split(".")
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    path = tmp_path / "cfg.yaml"
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
+    return str(path)
+
+
+# one-key edits that overflowed somewhere in set-up: each exits 2 naming
+# the key whose value overflows (None: the day runs, to exit 0 or 3)
+@pytest.mark.parametrize("key, value, named", [
+    ("households.noise_sigma", 1.0e308, "households.noise_sigma 1e+308"),
+    ("fleet.rate_kw", 2 ** 63, None),
+    ("fleet.n_users", 2 ** 63, "fleet.n_users must be at most"),
+    ("fleet.rate_kw", 1.0e308, "fleet.rate_kw 1e+308"),
+    ("market.synthetic.spike.multiplier", 1.0e308,
+     "market.synthetic.spike.multiplier 1e+308"),
+    ("market.synthetic.base_level_mwh", 1.0e308,
+     "market.synthetic.spike.multiplier 10.0 times"),
+    ("market.synthetic.base_level_mwh", 1.5e308,
+     "market.synthetic.base_level_mwh 1.5e+308"),
+    ("market.synthetic.rt_noise_sigma", 1.0e308,
+     "market.synthetic.rt_noise_sigma 1e+308"),
+    ("households.mean_daily_kwh", 1.0e308,
+     "households.mean_daily_kwh 1e+308"),
+    ("households.valley", 1.0e308, "households.valley 1e+308"),
+    ("households.valley", 2 ** 63, "households.valley 9223372036854775808"),
+    ("households.evening_peak", 1.0e308, "evening_peak 1e+308"),
+    ("households.evening_width", 1.0e-320, None),
+    ("run.kappa", 1.0e308, "kappa 1e+308"),
+])
+def test_an_overflowing_value_ends_cleanly(tmp_path, capsys, key, value,
+                                           named):
+    cfg = reference_day_with(tmp_path, key, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compare-cases", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if named is None:
+        assert code in (EXIT_OK, EXIT_INFEASIBLE), err
+    else:
+        assert code == EXIT_CONFIG
+        assert named in err
+
+
+def test_a_fleet_numpy_cannot_lay_out_is_refused_before_any_array(tmp_path):
+    cfg = reference_day_with(tmp_path, "fleet.n_users", 2 ** 62)
+    tracemalloc.start()
+    try:
+        assert main(["gen-fleet", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def flat_day_with_fleet(tmp_path, **fleet):
