@@ -191,8 +191,8 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
     prices its free slots and solves it, so it writes exactly the plans
     ``solve(build_subproblem(...))`` gives and raises the same errors. A
     vehicle whose box, price order and, after an exact solve, price ties
-    repeat those of its last solve keeps its plan unsolved (see the module
-    docstring).
+    repeat those of its last solve keeps its plan unsolved, and a solve
+    that returns the held plan writes nothing (see the module docstring).
     """
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")

@@ -141,20 +141,19 @@ def synth_prices(spec: MarketSpec, seed: int) -> tuple[PriceSeries, PriceSeries]
         da_mwh = spec.base_level_mwh * (1.0 + spec.amplitude * shape)
         noise = rng.normal(0.0, spec.rt_noise_sigma, N_SLOTS) if spec.rt_noise_sigma else np.zeros(N_SLOTS)
         rt_mwh = np.maximum(da_mwh * (1.0 + noise), 0.0)
+        if spec.spike is not None:
+            rt_mwh[spec.spike.slot - 1] = spec.spike.multiplier * da_mwh[spec.spike.slot - 1]
     if not np.isfinite(da_mwh).all():
         raise ConfigError(f"market.synthetic.base_level_mwh "
                           f"{spec.base_level_mwh!r} is too large: the "
                           "day-ahead prices overflow")
-    if spec.spike is not None:
-        slot = spec.spike.slot
-        with np.errstate(over="ignore"):
-            rt_mwh[slot - 1] = spec.spike.multiplier * da_mwh[slot - 1]
-        if not np.isfinite(rt_mwh[slot - 1]):
-            raise ConfigError(
-                f"market.synthetic.spike.multiplier {spec.spike.multiplier!r}"
-                f" times the day-ahead price {da_mwh[slot - 1]:.6g} $/MWh at "
-                f"slot {slot} overflows")
     if not np.isfinite(rt_mwh).all():
+        slot = None if spec.spike is None else spec.spike.slot
+        if slot is not None and not np.isfinite(rt_mwh[slot - 1]):
+            raise ConfigError(
+                f"market.synthetic.spike.multiplier "
+                f"{spec.spike.multiplier!r} times the day-ahead price "
+                f"{da_mwh[slot - 1]:.6g} $/MWh at slot {slot} overflows")
         raise ConfigError(f"market.synthetic.rt_noise_sigma "
                           f"{spec.rt_noise_sigma!r} is too large for "
                           f"day-ahead prices up to {da_mwh.max():.6g} $/MWh: "

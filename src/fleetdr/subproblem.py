@@ -259,7 +259,8 @@ def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
     for i, c in enumerate(coeff):
         j = bisect.bisect_left(slopes, c)
         k = bisect.bisect_right(slopes, c, j)  # the pieces of slope c: j:k
-        cheap_end = start + sum(lens[:j])  # never -0.0, so + 0 is exact
+        cheap_end = start + sum(lens[:j])
+        # with no tie, + sum([]) adds int 0: exact, as cheap_end is not -0.0
         tie_end = cheap_end if j == k else cheap_end + sum(lens[j:k])
         stages.append((start, cheap_end, tie_end, start + total))
         start += lo[i]
