@@ -164,9 +164,9 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
     total = float(hh.sum()) + sum(p.required_energy for p in fleet)
     cap = kappa * total / N_SLOTS
     if not math.isfinite(cap):
-        raise ConfigError(f"kappa {kappa!r} is too large: times the day's "
-                          f"mean demand, {total / N_SLOTS:.6g} kWh, it "
-                          "overflows")
+        raise ConfigError(f"kappa {kappa!r} is too large: the cap, kappa "
+                          f"times the day's mean demand of "
+                          f"{total / N_SLOTS:.6g} kWh, overflows")
     return cap
 
 
