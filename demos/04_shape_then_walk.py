@@ -15,7 +15,7 @@ Finally every vehicle's schedule is audited against its physical limits.
 
 import numpy as np
 
-from fleetdr.coordinator import ConvergenceSpec, simulate_day
+from fleetdr.coordinator import CaseConfig, simulate_day
 from fleetdr.fleet import (Dist, FleetSpec, HouseholdSpec, baseline_household,
                            sample_fleet)
 from fleetdr.market import MarketDay, MarketSpec, SpikeSpec, synth_prices
@@ -84,11 +84,9 @@ def main():
     v2g = sum(p.v2g for p in fleet)
     print(f"60 vehicles ({v2g} V2G), {homes.sum():.0f} kWh of household "
           f"load, purchase {market.da_profile.sum():.0f} kWh")
-    conv = ConvergenceSpec(max_sweeps=10, mse_tol=1e-6)
-    common = dict(lam_rt=0.5, trigger=2.0, t0_term_scale=1000.0)
+    case = CaseConfig(t0_term_scale=1000.0)
 
-    passive = simulate_day(fleet, homes, market, conv, altering=False,
-                           **common)
+    passive = simulate_day(fleet, homes, market, case, altering=False)
     print("\nphase 1: day-ahead shaping")
     print("  mean-squared plan change per sweep:",
           "  ".join(f"{m:.3g}" for m in passive.da_mse_trace))
@@ -98,11 +96,11 @@ def main():
 
     chart("shaped demand", passive.da_aggregate, 6.0, mark={SPIKE_SLOT})
 
-    active = simulate_day(fleet, homes, market, conv, altering=True, **common)
+    active = simulate_day(fleet, homes, market, case)
     print("\nphase 2: real-time walk")
     rt_ratio = market.rt_prices[SPIKE_SLOT] / market.da_prices[SPIKE_SLOT]
     print(f"  21:00 real-time price is {rt_ratio:.1f}x day-ahead "
-          "(trigger 2.0x) -> replanning fired")
+          f"(trigger {case.trigger}x) -> replanning fired")
     print(f"  slots altered: {active.altered_slots}")
     a, b = passive.aggregate[SPIKE_SLOT - 1], active.aggregate[SPIKE_SLOT - 1]
     print(f"  spike-hour demand: {a:.1f} kWh if nobody reacts, "

@@ -75,12 +75,9 @@ def cmd_simulate(cfg: ScenarioConfig, out: str | None = None,
     out_dir = _out_dir(cfg, out)
     _refuse_existing(os.path.join(out_dir, "summary.json"), force)
     scenario = build_scenario(cfg)
-    cap = (cap_value(scenario.household_total, scenario.fleet, cfg.case.kappa)
-           if cfg.case.kappa is not None else None)
+    cap = cap_value(scenario.household_total, scenario.fleet, cfg.case.kappa)
     day = simulate_day(scenario.fleet, scenario.household_total,
-                       scenario.market, cfg.case.conv, altering=True,
-                       lam_rt=cfg.case.lam_rt, trigger=cfg.case.trigger,
-                       t0_term_scale=cfg.case.t0_term_scale, cap=cap)
+                       scenario.market, cfg.case, cap=cap)
     emit(day, out_dir, meta=_meta(cfg))
     peak = float(day.aggregate.max())
     print(f"shaping sweeps: {day.da_sweeps}")

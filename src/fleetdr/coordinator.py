@@ -8,10 +8,13 @@ The coordination game is played in two phases over a 24-slot day:
   into the purchase profile's valleys and repeats until plans stop moving.
 
 * **Real-time walk.** The day is replayed slot by slot. When the real-time
-  price diverges enough from the day-ahead price, the connected vehicles
-  replan their remaining slots with an extra term that pushes immediate
-  consumption down (spike) or up (dip). Each slot's consumption is then
-  frozen and the walk advances.
+  price diverges from the day-ahead price by the trigger ratio, the
+  connected vehicles replan their remaining slots with an extra term that
+  pushes immediate consumption down (spike) or up (dip). Each slot's
+  consumption is then frozen and the walk advances.
+
+One :class:`CaseConfig` holds every run setting of the day, from a
+scenario file's ``run`` section down to the walk, which checks it once.
 
 A fleet-wide demand cap (the decarbonization limit) can be threaded through
 both phases: each vehicle's upper bounds shrink to the head-room the cap
@@ -65,9 +68,40 @@ class ConvergenceSpec:
     def validate(self) -> None:
         # each check fails on NaN, which compares false
         if not self.max_sweeps >= 1:
-            raise ConfigError("convergence.max_sweeps must be >= 1")
+            raise ConfigError("run.max_sweeps must be >= 1")
         if not self.mse_tol > 0:
-            raise ConfigError("convergence.mse_tol must be positive")
+            raise ConfigError("run.mse_tol must be positive")
+
+
+@dataclass
+class CaseConfig:
+    """A day's run settings: a scenario file's ``run`` section, with
+    ``conv`` flattened into it.
+
+    ``kappa`` is the demand-cap factor (None = cap off, making case 4
+    degenerate to case 3); ``lam_rt`` weighs price tracking against the
+    immediate-consumption term during spike response.
+    """
+
+    kappa: float | None = None
+    lam_rt: float = 0.5
+    trigger: float = 2.0
+    t0_term_scale: float = 1.0
+    conv: ConvergenceSpec = field(default_factory=ConvergenceSpec)
+
+    def validate(self) -> None:
+        # each check fails on NaN, which compares false
+        if self.kappa is not None and not self.kappa > 1:
+            raise ConfigError(
+                f"run.kappa must be > 1 when set, got {self.kappa}")
+        if not 0 <= self.lam_rt < 1:
+            raise ConfigError(
+                f"run.lam_rt must be in [0, 1), got {self.lam_rt}")
+        if not self.trigger > 1:
+            raise ConfigError(f"run.trigger must be > 1, got {self.trigger}")
+        if not self.t0_term_scale > 0:
+            raise ConfigError("run.t0_term_scale must be positive")
+        self.conv.validate()
 
 
 @dataclass
@@ -136,8 +170,7 @@ def _matrix_mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def decide_altering(rt_price: float, da_price: float,
-                    trigger: float = 2.0) -> bool:
+def decide_altering(rt_price: float, da_price: float, trigger: float) -> bool:
     """Should connected vehicles replan at this slot?
 
     Fires when the real-time price has diverged from the day-ahead price by
@@ -151,20 +184,23 @@ def decide_altering(rt_price: float, da_price: float,
 
 
 def cap_value(household_total, fleet: Sequence[PevProfile],
-              kappa: float) -> float:
-    """Decarbonization cap: kappa times the day's mean total demand.
+              kappa: float | None) -> float | None:
+    """Decarbonization cap: kappa times the day's mean total demand, or
+    None (no cap) when ``kappa`` is None.
 
     The mean is conservation-based -- households plus every vehicle's
     required energy spread over the day -- so it does not depend on how the
     fleet ends up scheduled.
     """
+    if kappa is None:
+        return None
     if kappa <= 0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
+        raise ConfigError(f"run.kappa must be positive, got {kappa}")
     hh = as_profile(household_total)
     total = float(hh.sum()) + sum(p.required_energy for p in fleet)
     cap = kappa * total / N_SLOTS
     if not math.isfinite(cap):
-        raise ConfigError(f"kappa {kappa!r} is too large: the cap, kappa "
+        raise ConfigError(f"run.kappa {kappa!r} is too large: the cap, kappa "
                           f"times the day's mean demand of "
                           f"{total / N_SLOTS:.6g} kWh, overflows")
     return cap
@@ -309,31 +345,28 @@ class DayResult:
         return len(self.da_mse_trace)
 
 
-def real_time_walk(state: ScheduleState, market: MarketDay,
-                   conv: ConvergenceSpec, *, altering: bool = True,
-                   lam: float = 0.5, trigger: float = 2.0,
-                   t0_term_scale: float = 1.0,
+def real_time_walk(state: ScheduleState, market: MarketDay, case: CaseConfig,
+                   *, altering: bool = True,
                    cap: float | None = None) -> List[int]:
     """Replay the day slot by slot, replanning on price divergence.
 
     Returns the slots at which replanning fired. ``state`` ends with the
     whole day realized.
     """
-    conv.validate()
-    if not 0 <= lam <= 1:
-        raise ConfigError(f"lam must be in [0, 1], got {lam}")
+    case.validate()
     altered: List[int] = []
     for t in range(1, N_SLOTS + 1):
         state.realized_upto = t - 1
         rt = market.rt_prices[t]
         da = market.da_prices[t]
-        if altering and decide_altering(rt, da, trigger):
+        if altering and decide_altering(rt, da, case.trigger):
             users = connected_users(state, t)
             if users:
                 altered.append(t)
                 _sweep_until_settled(
-                    state, conv, lam=lam, t0_sign=1 if rt > da else -1,
-                    t0_term_scale=t0_term_scale, cap=cap, users=users)
+                    state, case.conv, lam=case.lam_rt,
+                    t0_sign=1 if rt > da else -1,
+                    t0_term_scale=case.t0_term_scale, cap=cap, users=users)
         # slot t is now real
     state.realized_upto = N_SLOTS
     return altered
@@ -355,30 +388,27 @@ def shape_fleet(fleet: Sequence[PevProfile], household_total,
 
 
 def simulate_day(fleet: Sequence[PevProfile], household_total,
-                 market: MarketDay, conv: ConvergenceSpec, *,
-                 altering: bool = True, lam_rt: float = 0.5,
-                 trigger: float = 2.0, t0_term_scale: float = 1.0,
-                 cap: float | None = None,
+                 market: MarketDay, case: CaseConfig, *,
+                 altering: bool = True, cap: float | None = None,
                  shaped: ShapedPlans | None = None) -> DayResult:
     """Full pipeline for one coordination case: shape day-ahead, then walk
     the day in real time from a copy of the shaped plans.
 
-    ``shaped`` skips the shaping. It must come from :func:`shape_fleet`, or
-    be the ``DayResult.shaped`` of an earlier call, on the same fleet,
-    households, purchase and ``conv``, under the same ``cap``.
+    ``cap`` comes from :func:`cap_value`. ``shaped`` skips the shaping. It
+    must come from :func:`shape_fleet`, or be the ``DayResult.shaped`` of an
+    earlier call, on the same fleet, households, purchase and ``case.conv``,
+    under the same ``cap``.
     """
     if shaped is None:
-        shaped = shape_fleet(fleet, household_total, market.da_profile, conv,
-                             cap=cap)
+        shaped = shape_fleet(fleet, household_total, market.da_profile,
+                             case.conv, cap=cap)
     elif shaped.cap != cap:
         raise ConfigError(f"plans shaped under cap {shaped.cap} cannot "
                           f"start a day under cap {cap}")
     state = ScheduleState(fleet=list(fleet), household_total=household_total,
                           da_profile=market.da_profile, pev=shaped.pev.copy())
     da_agg = state.aggregate
-    altered = real_time_walk(state, market, conv, altering=altering,
-                             lam=lam_rt, trigger=trigger,
-                             t0_term_scale=t0_term_scale, cap=cap)
+    altered = real_time_walk(state, market, case, altering=altering, cap=cap)
     agg = state.aggregate
     if cap is not None and np.any(agg > cap + 1e-6):
         worst = int(np.argmax(agg)) + 1
@@ -388,4 +418,4 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
     trace = list(shaped.mse_trace)
     return DayResult(pev=state.pev, aggregate=agg, da_aggregate=da_agg,
                      da_mse_trace=trace, altered_slots=altered,
-                     converged=trace[-1] < conv.mse_tol, shaped=shaped)
+                     converged=trace[-1] < case.conv.mse_tol, shaped=shaped)

@@ -39,10 +39,19 @@ def as_profile(values) -> np.ndarray:
     return arr
 
 
-def _finite_number(v) -> bool:
-    """A finite real that is not a bool (YAML reads ``yes`` as True)."""
+def _number(v) -> bool:
+    """A real that is not a bool (YAML reads ``yes`` as True)."""
     return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and math.isfinite(v))
+            and not isinstance(v, bool))
+
+
+def _finite_number(v) -> bool:
+    """A :func:`_number` that is finite as a float, which an int too large
+    for a float is not."""
+    try:
+        return _number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def hour_to_slot(hours, day_start_hour: int = 0) -> np.ndarray:
@@ -183,9 +192,7 @@ class Dist:
             bad = [x for x in (v if many and listed else [v])
                    if not _finite_number(x)]
             if bad or many and not listed:
-                # only a float can be a number that is not finite
-                finite = listed == many and all(isinstance(x, float)
-                                                for x in bad)
+                finite = listed == many and all(map(_number, bad))
                 raise ConfigError(f"{name}.{key}: expected a "
                                   f"{'finite ' if finite else ''}number"
                                   f"{' list' if many else ''}, got {v!r}")

@@ -95,9 +95,11 @@ class SpikeSpec:
 
     def validate(self) -> None:
         if not 1 <= self.slot <= N_SLOTS:
-            raise ConfigError(f"spike.slot must be in 1..{N_SLOTS}")
+            raise ConfigError(
+                f"market.synthetic.spike.slot must be in 1..{N_SLOTS}")
         if self.multiplier <= 0:
-            raise ConfigError("spike.multiplier must be positive")
+            raise ConfigError(
+                "market.synthetic.spike.multiplier must be positive")
 
 
 @dataclass
@@ -119,13 +121,15 @@ class MarketSpec:
 
     def validate(self) -> None:
         if self.base_level_mwh <= 0:
-            raise ConfigError("market.base_level_mwh must be positive")
+            raise ConfigError(
+                "market.synthetic.base_level_mwh must be positive")
         if not 0 <= self.amplitude < 1:
-            raise ConfigError("market.amplitude must be in [0, 1)")
+            raise ConfigError("market.synthetic.amplitude must be in [0, 1)")
         if not 1 <= self.peak_slot <= N_SLOTS:
-            raise ConfigError(f"market.peak_slot must be in 1..{N_SLOTS}")
+            raise ConfigError(
+                f"market.synthetic.peak_slot must be in 1..{N_SLOTS}")
         if self.rt_noise_sigma < 0:
-            raise ConfigError("market.rt_noise_sigma must be >= 0")
+            raise ConfigError("market.synthetic.rt_noise_sigma must be >= 0")
         if self.spike is not None:
             self.spike.validate()
 

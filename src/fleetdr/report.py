@@ -3,7 +3,8 @@
 Prices the same fleet and price day under increasing coordination: dumb
 plug-and-charge bought entirely in real time, day-ahead shaping, shaping
 plus spike response, and the capped variant of the latter. Emits the
-results as deterministic CSV/JSON files ready for plotting.
+results as deterministic CSV/JSON files ready for plotting. The cases
+share one :class:`~fleetdr.coordinator.CaseConfig` of run settings.
 """
 from __future__ import annotations
 
@@ -12,14 +13,14 @@ import os
 import pickle
 import signal
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .coordinator import (ConvergenceSpec, DayResult, ShapedPlans, cap_value,
+from .coordinator import (CaseConfig, DayResult, ShapedPlans, cap_value,
                           shape_fleet, simulate_day)
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .fleet import (N_SLOTS, PevProfile, as_profile, uncoordinated_profile,
                     write_csv, write_slot_csv)
 from .market import MarketDay, CostBreakdown, procurement_cost
@@ -34,34 +35,6 @@ CASE_LABELS = {
 COSTS_CSV_HEADER = ["case", "cost_usd", "peak_kwh", "peak_slot"]
 AGGREGATE_CSV_HEADER = ["slot", "actual_kwh", "purchased_kwh"]
 MSE_CSV_HEADER = ["case", "sweep", "mse"]
-
-
-@dataclass
-class CaseConfig:
-    """Run parameters shared by all four cases.
-
-    ``kappa`` is the demand-cap factor (None = cap off, making case 4
-    degenerate to case 3); ``lam_rt`` weighs price tracking against the
-    immediate-consumption term during spike response.
-    """
-
-    kappa: float | None = None
-    lam_rt: float = 0.5
-    trigger: float = 2.0
-    t0_term_scale: float = 1.0
-    conv: ConvergenceSpec = field(default_factory=ConvergenceSpec)
-
-    def validate(self) -> None:
-        # each check fails on NaN, which compares false
-        if self.kappa is not None and not self.kappa > 1:
-            raise ConfigError(f"kappa must be > 1 when set, got {self.kappa}")
-        if not 0 <= self.lam_rt < 1:
-            raise ConfigError(f"lam_rt must be in [0, 1), got {self.lam_rt}")
-        if not self.trigger > 1:
-            raise ConfigError(f"trigger must be > 1, got {self.trigger}")
-        if not self.t0_term_scale > 0:
-            raise ConfigError("t0_term_scale must be positive")
-        self.conv.validate()
 
 
 @dataclass
@@ -206,8 +179,7 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     results = [CaseResult(1, CASE_LABELS[1], _priced(market, zero, dumb),
                           dumb, zero, [], [])]
 
-    cap = (cap_value(hh, fleet, config.kappa)
-           if config.kappa is not None else None)
+    cap = cap_value(hh, fleet, config.kappa)
     runs = [(2, False, None), (3, True, None), (4, True, cap)]
     shaped: Dict[float | None, ShapedPlans] = {}  # by cap
     with (_forked(shape_fleet, fleet, hh, market.da_profile, config.conv,
@@ -216,10 +188,7 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
             if case_cap is not None:  # case 4 only
                 shaped[case_cap] = capped()
                 shaped[case_cap].pev.setflags(write=False)
-            day = simulate_day(fleet, hh, market, config.conv,
-                               altering=altering, lam_rt=config.lam_rt,
-                               trigger=config.trigger,
-                               t0_term_scale=config.t0_term_scale,
+            day = simulate_day(fleet, hh, market, config, altering=altering,
                                cap=case_cap, shaped=shaped.get(case_cap))
             shaped.setdefault(case_cap, day.shaped)
             results.append(CaseResult(

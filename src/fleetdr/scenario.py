@@ -20,14 +20,13 @@ from typing import List
 import numpy as np
 import yaml
 
-from .coordinator import ConvergenceSpec
+from .coordinator import CaseConfig, ConvergenceSpec
 from .errors import ConfigError
 from .fleet import (Dist, FleetSpec, HouseholdSpec, N_SLOTS, PevProfile,
                     _dist_from_config, _dist_to_dict, _finite_number,
-                    as_profile, baseline_household, sample_fleet)
+                    _number, as_profile, baseline_household, sample_fleet)
 from .market import MarketDay, MarketSpec, SpikeSpec, load_market_day, \
     synth_prices, water_fill
-from .report import CaseConfig
 
 # offsets applied to the scenario seed for each synthesis stage, so the
 # stages stay decoupled (changing fleet size never shifts the price draw)
@@ -93,6 +92,8 @@ class ScenarioConfig:
                 path = os.path.join(self.market_files, name)
                 if not os.path.exists(path):
                     raise ConfigError(f"market.files: missing {path}")
+        if self.market_synth is not None:
+            self.market_synth.validate()
         self.purchase.validate()
         self.case.validate()
 
@@ -159,8 +160,8 @@ def _value(tp, optional: bool, v, path: str):
     if not (_finite_number(v) if tp is float
             else isinstance(v, tp) and not isinstance(v, bool)):
         want = tp.__name__
-        if tp is float:  # only a float can be a number that is not finite
-            want = "a finite number" if isinstance(v, float) else "a number"
+        if tp is float:
+            want = "a finite number" if _number(v) else "a number"
         raise ConfigError(f"{path}: expected {want}, got {v!r}")
     return v
 
@@ -296,10 +297,12 @@ def purchase_profile(fleet: List[PevProfile], household_total,
     bid into slots the fleet cannot reach would be a guaranteed miss.
     """
     spec.validate()
+    if not fleet:
+        raise ConfigError("fleet.n_users is 0: an empty fleet is connected "
+                          "at no slot, so there is nothing to buy for")
     hh = as_profile(household_total)
     counts = connection_counts(fleet)
-    n = max(len(fleet), 1)
-    mask = counts >= spec.coverage * n
+    mask = counts >= spec.coverage * len(fleet)
     if not mask.any():
         raise ConfigError(
             f"no slot reaches {spec.coverage:.0%} fleet connectivity; "

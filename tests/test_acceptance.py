@@ -104,10 +104,8 @@ def test_criterion_2_full_fleet_schedules_obey_constraints(reference_config,
     sc = reference_scenario
     cfg = reference_config
     cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
-    day = simulate_day(sc.fleet, sc.household_total, sc.market, cfg.case.conv,
-                       altering=True, lam_rt=cfg.case.lam_rt,
-                       trigger=cfg.case.trigger,
-                       t0_term_scale=cfg.case.t0_term_scale, cap=cap)
+    day = simulate_day(sc.fleet, sc.household_total, sc.market, cfg.case,
+                       cap=cap)
     assert day.pev.shape == (1000, N_SLOTS)
     for prof, x in zip(sc.fleet, day.pev):
         audit_plan(prof, x, f"user {prof.user_id}", FEAS_TOL_KWH)

@@ -306,6 +306,13 @@ def reference_day_with(tmp_path, key, value, n_users=30):
     ("households.evening_peak", 1.0e308, "evening_peak 1e+308"),
     ("households.evening_width", 1.0e-320, None),
     ("run.kappa", 1.0e308, "kappa 1e+308"),
+    # an int too large for a float
+    pytest.param("fleet.rate_kw", 10 ** 400,
+                 "fleet.rate_kw: expected a finite number",
+                 id="fleet.rate_kw-10**400"),
+    pytest.param("fleet.arrival.mean", 10 ** 400,
+                 "fleet.arrival.mean: expected a finite number",
+                 id="fleet.arrival.mean-10**400"),
 ])
 def test_an_overflowing_value_ends_cleanly(tmp_path, capsys, key, value,
                                            named):
@@ -332,6 +339,16 @@ def test_a_fleet_numpy_cannot_lay_out_is_refused_before_any_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_an_empty_fleet_exits_config_naming_n_users(tmp_path, capsys):
+    cfg = reference_day_with(tmp_path, "fleet.n_users", 0)
+    code = main(["compare-cases", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "fleet.n_users" in err
+    assert "coverage" not in err
 
 
 def flat_day_with_fleet(tmp_path, **fleet):

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from fleetdr.coordinator import (
+    CaseConfig,
     ConvergenceSpec,
     DayResult,
     ScheduleState,
@@ -130,6 +133,11 @@ def test_cap_value_scales_mean_total_demand():
         cap_value(hh, fleet, kappa=0.0)
 
 
+def test_cap_value_without_kappa_is_no_cap():
+    hh = np.full(N_SLOTS, 10.0)
+    assert cap_value(hh, [make_profile()], None) is None
+
+
 def test_connected_users_filters_window_and_history():
     fleet = [make_profile(arrival_slot=1, departure_slot=4),
              make_profile(user_id=2, arrival_slot=6, departure_slot=9)]
@@ -234,7 +242,7 @@ def test_walk_without_divergence_does_nothing():
                           household_total=np.full(24, 1.0),
                           da_profile=np.full(24, 1.0))
     before = state.pev.copy()
-    altered = real_time_walk(state, make_day(), ConvergenceSpec())
+    altered = real_time_walk(state, make_day(), CaseConfig())
     assert altered == []
     assert np.array_equal(state.pev, before)
     assert state.realized_upto == N_SLOTS
@@ -244,8 +252,8 @@ def test_walk_spike_triggers_discharge():
     prof = make_profile(required_energy=0.0, v2g=True, departure_slot=6)
     state = ScheduleState(fleet=[prof], household_total=np.full(24, 1.0),
                           da_profile=np.full(24, 1.0))
-    altered = real_time_walk(state, spike_day(slot=3), ConvergenceSpec(),
-                             lam=0.5, t0_term_scale=10.0)
+    altered = real_time_walk(state, spike_day(slot=3),
+                             CaseConfig(lam_rt=0.5, t0_term_scale=10.0))
     assert altered == [3]
     x = state.pev[0]
     assert x[2] == pytest.approx(-1.8)          # dumped at the spike
@@ -258,7 +266,7 @@ def test_walk_altering_disabled_ignores_spike():
     prof = make_profile(required_energy=0.0, v2g=True, departure_slot=6)
     state = ScheduleState(fleet=[prof], household_total=np.full(24, 1.0),
                           da_profile=np.full(24, 1.0))
-    altered = real_time_walk(state, spike_day(slot=3), ConvergenceSpec(),
+    altered = real_time_walk(state, spike_day(slot=3), CaseConfig(),
                              altering=False)
     assert altered == []
     assert np.all(state.pev == 0.0)
@@ -270,8 +278,8 @@ def test_walk_dip_attracts_consumption():
     rt[3] = 0.003  # deep dip at slot 4
     state = ScheduleState(fleet=[prof], household_total=np.full(24, 1.0),
                           da_profile=np.full(24, 1.0))
-    altered = real_time_walk(state, make_day(rt=rt), ConvergenceSpec(),
-                             lam=0.5, t0_term_scale=10.0)
+    altered = real_time_walk(state, make_day(rt=rt),
+                             CaseConfig(lam_rt=0.5, t0_term_scale=10.0))
     assert altered == [4]
     assert state.pev[0, 3] == pytest.approx(1.8)
 
@@ -280,7 +288,7 @@ def test_walk_validates_lam():
     state = ScheduleState(fleet=[], household_total=np.zeros(24),
                           da_profile=np.zeros(24))
     with pytest.raises(ConfigError):
-        real_time_walk(state, make_day(), ConvergenceSpec(), lam=1.5)
+        real_time_walk(state, make_day(), CaseConfig(lam_rt=1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def test_simulate_day_freezes_pre_walk_aggregate():
     day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
                     rt_prices=PriceSeries(np.full(24, 0.03), kind="rt"),
                     da_profile=bid)
-    res = simulate_day(fleet, hh, day, ConvergenceSpec())
+    res = simulate_day(fleet, hh, day, CaseConfig())
     assert isinstance(res, DayResult)
     assert res.altered_slots == []
     assert np.array_equal(res.aggregate, res.da_aggregate)
@@ -309,10 +317,39 @@ def test_simulate_day_spike_changes_only_realtime_aggregate():
     rt[9] = 0.3
     day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
                     rt_prices=PriceSeries(rt, kind="rt"), da_profile=bid)
-    res = simulate_day(fleet, hh, day, ConvergenceSpec(), lam_rt=0.5,
-                       t0_term_scale=1000.0)
-    assert 10 in res.altered_slots
+    res = simulate_day(fleet, hh, day,
+                       CaseConfig(lam_rt=0.5, t0_term_scale=1000.0))
+    assert res.altered_slots == [10]  # the 10x spike fires a trigger of 2
     assert res.aggregate[9] < res.da_aggregate[9]
+    # and not one of 20
+    held = simulate_day(fleet, hh, day,
+                        CaseConfig(t0_term_scale=1000.0, trigger=20.0))
+    assert held.altered_slots == []
+    assert np.array_equal(held.aggregate, held.da_aggregate)
+
+
+@pytest.mark.parametrize("case, altering, key", [
+    (CaseConfig(t0_term_scale=-1000.0), True, "run.t0_term_scale"),
+    (CaseConfig(lam_rt=1.0), True, "run.lam_rt"),
+    (CaseConfig(trigger=0.5), False, "run.trigger"),
+    (CaseConfig(conv=ConvergenceSpec(max_sweeps=0)), True, "run.max_sweeps"),
+])
+def test_simulate_day_refuses_bad_run_settings(case, altering, key):
+    fleet = small_fleet(n=4)
+    hh = np.full(N_SLOTS, 3.0)
+    day = make_day(purchased=water_fill(
+        hh, sum(p.required_energy for p in fleet)))
+    with pytest.raises(ConfigError, match=key):
+        simulate_day(fleet, hh, day, case, altering=altering)
+
+
+def test_run_settings_have_defaults_only_in_case_config():
+    for fn in (simulate_day, real_time_walk, decide_altering):
+        params = inspect.signature(fn).parameters
+        for name in ("conv", "lam", "lam_rt", "trigger", "t0_term_scale"):
+            assert (name not in params
+                    or params[name].default is inspect.Parameter.empty), \
+                f"{fn.__name__} defaults {name}"
 
 
 def test_simulate_day_from_shaped_plans_matches_a_fresh_run():
@@ -323,11 +360,10 @@ def test_simulate_day_from_shaped_plans_matches_a_fresh_run():
     rt[9] = 0.3
     day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
                     rt_prices=PriceSeries(rt, kind="rt"), da_profile=bid)
-    conv = ConvergenceSpec()
-    first = simulate_day(fleet, hh, day, conv, altering=False)
-    fresh = simulate_day(fleet, hh, day, conv, t0_term_scale=1000.0)
-    reused = simulate_day(fleet, hh, day, conv, t0_term_scale=1000.0,
-                          shaped=first.shaped)
+    case = CaseConfig(t0_term_scale=1000.0)
+    first = simulate_day(fleet, hh, day, CaseConfig(), altering=False)
+    fresh = simulate_day(fleet, hh, day, case)
+    reused = simulate_day(fleet, hh, day, case, shaped=first.shaped)
     assert reused.shaped is first.shaped
     assert reused.converged and reused.converged == fresh.converged
     assert reused.da_mse_trace == fresh.da_mse_trace
@@ -344,11 +380,10 @@ def test_simulate_day_refuses_plans_shaped_under_another_cap():
     hh = np.full(N_SLOTS, 3.0)
     day = make_day(purchased=water_fill(
         hh, sum(p.required_energy for p in fleet)))
-    conv = ConvergenceSpec()
-    shaped = simulate_day(fleet, hh, day, conv).shaped
+    shaped = simulate_day(fleet, hh, day, CaseConfig()).shaped
     cap = cap_value(hh, fleet, kappa=3.0)
     with pytest.raises(ConfigError, match="cap"):
-        simulate_day(fleet, hh, day, conv, cap=cap, shaped=shaped)
+        simulate_day(fleet, hh, day, CaseConfig(), cap=cap, shaped=shaped)
 
 
 def test_convergence_spec_validation():
@@ -360,5 +395,5 @@ def test_convergence_spec_validation():
 
 @pytest.mark.parametrize("field", ["max_sweeps", "mse_tol"])
 def test_convergence_spec_rejects_nan(field):
-    with pytest.raises(ConfigError, match=f"convergence.{field} must be"):
+    with pytest.raises(ConfigError, match=f"run.{field} must be"):
         ConvergenceSpec(**{field: float("nan")}).validate()

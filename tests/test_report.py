@@ -301,12 +301,9 @@ def log_shaping_pids(monkeypatch, event_log):
 def serial_days(sc, case):
     """Cases 2-4 as ``simulate_day`` runs in this process, each shaping
     its own plans."""
-    cap = (cap_value(sc.household_total, sc.fleet, case.kappa)
-           if case.kappa is not None else None)
-    return [simulate_day(sc.fleet, sc.household_total, sc.market, case.conv,
-                         altering=altering, lam_rt=case.lam_rt,
-                         trigger=case.trigger,
-                         t0_term_scale=case.t0_term_scale, cap=day_cap)
+    cap = cap_value(sc.household_total, sc.fleet, case.kappa)
+    return [simulate_day(sc.fleet, sc.household_total, sc.market, case,
+                         altering=altering, cap=day_cap)
             for altering, day_cap in ((False, None), (True, None),
                                       (True, cap))]
 

@@ -259,6 +259,52 @@ def test_a_bad_number_is_named_for_what_it_is(tmp_path, monkeypatch, value,
         assert got == f"{path}: {message}"
 
 
+# one-key range edits of the reference config, at least one per range
+# check of each section
+RANGE_EDITS = [
+    ("seed", -1),
+    ("run.kappa", 0.5), ("run.lam_rt", 2), ("run.lam_rt", -0.5),
+    ("run.trigger", 1.0), ("run.t0_term_scale", -1000.0),
+    ("run.max_sweeps", 0), ("run.mse_tol", 0.0),
+    ("market.synthetic.base_level_mwh", 0.0),
+    ("market.synthetic.amplitude", 2), ("market.synthetic.peak_slot", 30),
+    ("market.synthetic.rt_noise_sigma", -0.1),
+    ("market.synthetic.spike.slot", 30),
+    ("market.synthetic.spike.multiplier", 0.0),
+    ("market.purchase.coverage", 0.0), ("market.purchase.coverage", 1.5),
+    ("market.purchase.pad_kwh", -1.0), ("market.purchase.block_kwh", -1.0),
+    ("market.purchase.block_slot", 30), ("market.purchase.block_slot", None),
+    ("fleet.n_users", -1), ("fleet.n_users", 2 ** 63),
+    ("fleet.capacity_kwh", 0.0), ("fleet.rate_kw", 0.0),
+    ("fleet.rate_kw", 1.0e308), ("fleet.v2g_fraction", 2),
+    ("fleet.day_start_hour", 24), ("fleet.energy_grid", 0),
+    ("households.mean_daily_kwh", -1.0), ("households.valley", 0.0),
+    ("households.evening_peak", 0.0), ("households.morning_peak", -1.0),
+    ("households.evening_slot", 30), ("households.morning_slot", 0),
+    ("households.evening_width", 0.0), ("households.morning_width", 0.0),
+    ("households.noise_sigma", -0.1), ("households.noise_sigma", 1.0e200),
+    ("fleet.arrival.std", 0), ("fleet.arrival.lo", 30.0),
+    ("fleet.departure.round_to", 0.0), ("fleet.initial_soc.probs", [1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("key, value", RANGE_EDITS)
+def test_a_value_out_of_range_is_named_by_its_key(key, value):
+    with open(REFERENCE_YAML) as fh:
+        raw = yaml.safe_load(fh)
+    *parents, leaf = key.split(".")
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    # a distribution's parameters sit beside its family, not under a path
+    names = [".".join(parents), leaf] if "family" in section else [key]
+    for name in names:
+        assert name in str(exc.value)
+
+
 def test_load_config_prefixes_path(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("seed: 1\nfleet: {n_users: -2}\nmarket: {synthetic: {}}\n")
