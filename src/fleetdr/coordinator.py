@@ -239,24 +239,29 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
     t0 = t0_term(lam, t0_sign, t0_term_scale)
     pev, hh, da = state.pev, state.household_total, state.da_profile
     agg_pev = as_profile(pev.sum(axis=0))
+    base = hh + agg_pev  # everyone's load; refreshed after each write
+    caps = None if cap is None else np.full(N_SLOTS, cap, dtype=float)
     upto, vehicles = state.realized_upto, state._vehicles
     for idx in users:
-        plan = pev[idx]
-        others = hh + agg_pev - plan
         cached = vehicles.get(idx)
         if cached is None or cached[0] != upto:
             cached = vehicles[idx] = [upto, vehicle_lp(
                 state.fleet[idx], state.history_for(idx), state._boxes), None]
         _, lp, last = cached
         free = lp.free
-        box = lp.box if cap is None else capped_box(lp, cap - others)
-        coeff = (others - da)[free]
+        held = pev[idx, free]  # a view: the plan's free slots
+        others = base[free] - held
+        coeff = others - da[free]
+        if cap is None:
+            box, up = lp.box, None
+        else:
+            box = capped_box(lp, caps[free] - others)
+            up = box.up.tobytes()
         if lam != 1.0:  # shaping passes skip an exact multiply by 1
             coeff *= lam
         if t0 is not None and coeff.size:
             coeff[0] += t0
         order = coeff.argsort(kind="stable")
-        up = None if cap is None else box.up.tobytes()
         ranks = order.tobytes()
         if (last is not None and last[0] == ranks and last[1] == up
                 and (last[2] is None or last[2] == _ties(coeff, order))):
@@ -264,10 +269,10 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         x, method = solve_vehicle(lp, box, coeff, order)
         cached[2] = (ranks, up,
                      _ties(coeff, order) if method == "exact" else None)
-        held = plan[free]
         if x.tobytes() != held.tobytes():  # else the update adds +0.0
             agg_pev[free] += x - held
             held[:] = x
+            np.add(hh, agg_pev, out=base)
 
 
 def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec,
@@ -397,8 +402,9 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
     ``cap`` comes from :func:`cap_value`. ``shaped`` skips the shaping. It
     must come from :func:`shape_fleet`, or be the ``DayResult.shaped`` of an
     earlier call, on the same fleet, households, purchase and ``case.conv``,
-    under the same ``cap``.
+    under the same ``cap``. ``case`` is checked before any shaping.
     """
+    case.validate()
     if shaped is None:
         shaped = shape_fleet(fleet, household_total, market.da_profile,
                              case.conv, cap=cap)

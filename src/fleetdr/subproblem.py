@@ -86,11 +86,16 @@ class Box(NamedTuple):
     lo_list: List[float]
     width: List[float]  # up - lo
     least_room: np.ndarray  # lo - FEAS_TOL, the head-room a cap must leave
+    # every lower bound is +0.0 and no upper bound is below it: each width
+    # is its upper bound's own bits, and a plan never discharges
+    charge_only: bool
 
 
 def _box(lo: np.ndarray, up: np.ndarray) -> Box:
-    return Box(lo, up, float(lo.sum()), float(up.sum()), lo.tolist(),
-               (up - lo).tolist(), lo - FEAS_TOL)
+    width = (up - lo).tolist()
+    return Box(lo, up, float(lo.sum()), float(up.sum()), lo.tolist(), width,
+               lo - FEAS_TOL,
+               lo.tobytes() == bytes(lo.nbytes) and bool((up >= 0).all()))
 
 
 class VehicleLp(NamedTuple):
@@ -117,7 +122,8 @@ def vehicle_lp(profile: PevProfile, history: np.ndarray,
     """
     if len(history) > profile.window_length():
         raise ConfigError(f"user {profile.user_id}: history longer than window")
-    delivered = float(history.sum())
+    # the sum of no history is +0.0; skip numpy's reduction for it
+    delivered = float(history.sum()) if len(history) else 0.0
     soc_start = profile.initial_soc + delivered
     first = profile.arrival_slot + len(history)  # first free day slot
     k = profile.departure_slot - first + 1
@@ -136,28 +142,39 @@ def vehicle_lp(profile: PevProfile, history: np.ndarray,
 
 
 def capped_box(lp: VehicleLp, room: np.ndarray) -> Box:
-    """``lp``'s rate box with its upper bounds cut to ``room``, the 24-slot
-    head-room a fleet-wide demand cap leaves after everyone else's plans.
+    """``lp``'s rate box with its upper bounds cut to ``room``, the head-room
+    a fleet-wide demand cap leaves on the free slots after everyone else's
+    plans.
 
     Raises with the cap as the binding constraint when the head-room is
     below the box's lower bound at a free slot, or falls short of an energy
     target the box alone reaches.
+
+    The rate box's upper bounds are never below its lower bounds, so the
+    head-room can be short of a lower bound only where the cut bound is
+    raised back to it, leaving a width of zero: the "no room" comparison
+    runs only then. A charge-only box's widths are its upper bounds, so one
+    list serves as both.
     """
-    lo, up, lo_sum, _, lo_list, _, least_room = lp.box
-    up = np.minimum(up, room[lp.free])
-    if True in (up < least_room).tolist():  # cheaper than .any() here
+    box = lp.box
+    lo = box.lo
+    up = np.minimum(box.up, room)
+    np.maximum(up, lo, out=up)
+    up_list = up.tolist()
+    width = up_list if box.charge_only else (up - lo).tolist()
+    if 0.0 in width and True in (room < box.least_room).tolist():
         raise InfeasibleError(
             "demand cap leaves no room at a connected slot",
             user_id=lp.user_id, constraint="demand cap")
-    up = np.maximum(up, lo)
-    reachable = sum(up.tolist())  # cheaper than up.sum() at this size
+    reachable = sum(up_list)  # cheaper than up.sum() at this size
     if reachable < lp.target - FEAS_TOL <= lp.reach:
         raise InfeasibleError(
             f"{lp.target:.3f} kWh owed but the cap's head-room leaves "
             f"{reachable:.3f} kWh reachable", user_id=lp.user_id,
             constraint="demand cap")
-    return Box(lo, up, lo_sum, reachable, lo_list, (up - lo).tolist(),
-               least_room)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(Box, (lo, up, box.lo_sum, reachable, box.lo_list,
+                               width, box.least_room, box.charge_only))
 
 
 def t0_term(lam: float, t0_sign: int, t0_term_scale: float) -> float | None:
@@ -193,7 +210,8 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
     lp = vehicle_lp(profile, np.asarray(history, dtype=float))
-    box = lp.box if slot_cap is None else capped_box(lp, as_profile(slot_cap))
+    box = (lp.box if slot_cap is None
+           else capped_box(lp, as_profile(slot_cap)[lp.free]))
     coeff = lam * signal[lp.free]
     t0 = t0_term(lam, t0_sign, t0_term_scale)
     if t0 is not None and coeff.size:
@@ -338,7 +356,7 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
     through their order and, for an exact plan, which of them tie.
     Raises ``InfeasibleError`` naming the binding constraint.
     """
-    _, up, lo_sum, up_sum, lo_list, width, _ = box
+    _, up, lo_sum, up_sum, lo_list, width, _, charge_only = box
     target = lp.target
     if not lo_list:
         if abs(target) > FEAS_TOL:
@@ -353,9 +371,17 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
             f"[{lo_sum:.3f}, {up_sum:.3f}]",
             user_id=lp.user_id, constraint="energy balance")
     x = _pour(lo_list.copy(), width, target - lo_sum, order)
-    running = list(accumulate(x))  # the sums np.cumsum gives
-    if (min(running) >= lp.min_prefix - FEAS_TOL
-            and max(running) <= lp.max_prefix + FEAS_TOL):
+    if charge_only:
+        # no slot discharges, so the running sums never fall: the least is
+        # the first and the greatest the last, which sum() adds left to
+        # right as accumulate does (Python 3.12 on compensates float sums)
+        fits = (x[0] >= lp.min_prefix - FEAS_TOL
+                and sum(x) <= lp.max_prefix + FEAS_TOL)
+    else:
+        running = list(accumulate(x))  # the sums np.cumsum gives
+        fits = (min(running) >= lp.min_prefix - FEAS_TOL
+                and max(running) <= lp.max_prefix + FEAS_TOL)
+    if fits:
         return np.array(x), "greedy"
     x = _prefix_band_fill(lo_list, up.tolist(), coeff.tolist(),
                           lp.min_prefix, lp.max_prefix, target)

@@ -5,9 +5,13 @@ grid, independent of the solver they check.
   sum, for small instances; it checks ``fleetdr.subproblem.solve``.
 * :func:`enumerate_oracle` -- a literal exhaustive search over the same
   grid, only viable for a few slots; it checks the dynamic program.
+* :func:`exchange_certificate` -- the optimality conditions of the LP
+  itself, feasibility plus a pair-exchange test, for any number of slots;
+  it checks every plan a day's solves return.
 """
 
-from itertools import product
+import math
+from itertools import accumulate, product
 from typing import List
 
 import numpy as np
@@ -144,3 +148,68 @@ def enumerate_oracle(sub: UserSubproblem, grid_step: float = 0.1
     return SubproblemSolution(
         x=np.array([u * grid_step for u in best]),
         objective=float(best_cost), method="enum")
+
+
+def feasibility_problems(lo, up, target: float, floor: float,
+                         ceiling: float, x) -> List[str]:
+    """Every bound, the energy target and the band ``x`` misses by more
+    than ``FEAS_TOL`` (empty = feasible)."""
+    problems = [f"slot {i}: {v!r} outside [{lo[i]!r}, {up[i]!r}]"
+                for i, v in enumerate(x)
+                if not lo[i] - FEAS_TOL <= v <= up[i] + FEAS_TOL]
+    running = list(accumulate(x))
+    total = running[-1] if running else 0.0
+    if not abs(total - target) <= FEAS_TOL:
+        problems.append(f"delivers {total!r}, owes {target!r}")
+    problems += [f"running sum {i}: {p!r} outside [{floor!r}, {ceiling!r}]"
+                 for i, p in enumerate(running)
+                 if not floor - FEAS_TOL <= p <= ceiling + FEAS_TOL]
+    return problems
+
+
+EXCHANGE_TOL = 1e-9  # a move smaller than this is rounding, not a gain
+
+
+def exchange_certificate(lo, up, coeff, target: float, floor: float,
+                         ceiling: float, x) -> List[str]:
+    """Why ``x`` is not an optimum of min c.x subject to lo <= x <= up,
+    sum(x) = target and floor <= P_j <= ceiling for every running sum P_j;
+    an empty list certifies it.
+
+    The LP is a min-cost flow along the slot chain: each slot has an arc
+    from the source, and the chain arcs carry the running sums. Every
+    residual cycle uses exactly two source arcs, so the negative-cycle
+    optimality condition (Klein, 1967) reduces to a pair test: a feasible
+    ``x`` is optimal unless some slot ``i`` can give energy to a cheaper
+    slot ``j`` (c_j < c_i, x_i above lo_i, x_j below up_j) with slack in
+    the band on every running sum the move shifts: those from i up to j-1
+    fall when j > i, and those from j up to i-1 rise when j < i.
+    Feasibility is checked to ``FEAS_TOL``, as the solver accepts; a
+    bound or the band counts as slack only past ``EXCHANGE_TOL``.
+    """
+    lo, up, coeff, x = (list(map(float, v)) for v in (lo, up, coeff, x))
+    problems = feasibility_problems(lo, up, target, floor, ceiling, x)
+    if problems:
+        return problems
+    running = list(accumulate(x))
+    k = len(x)
+    for i in range(k):
+        if not x[i] > lo[i] + EXCHANGE_TOL:
+            continue
+        least = math.inf  # min P[i..j-1], moving right
+        for j in range(i + 1, k):
+            least = min(least, running[j - 1])
+            if not least > floor + EXCHANGE_TOL:
+                break
+            if coeff[j] < coeff[i] and x[j] < up[j] - EXCHANGE_TOL:
+                problems.append(f"slot {i} can move energy to cheaper "
+                                f"slot {j}")
+        most = -math.inf  # max P[j..i-1], moving left
+        for j in range(i - 1, -1, -1):
+            most = max(most, running[j])
+            if not most < ceiling - EXCHANGE_TOL:
+                break
+            if coeff[j] < coeff[i] and x[j] < up[j] - EXCHANGE_TOL:
+                problems.append(f"slot {i} can move energy to cheaper "
+                                f"slot {j}")
+    return problems

@@ -67,3 +67,59 @@ def test_pacing_and_day_capture_see_every_call(monkeypatch, event_log):
     sweeps = {id(day.shaped): day.da_sweeps for day in days}
     assert len(sweeps) == 2
     assert len(paced) >= sum(sweeps.values()) > 0
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's output pins against tier-1's
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    patch = pytest.MonkeyPatch()
+    patch.syspath_prepend(PERFBENCH)  # run.py imports its siblings by name
+    try:
+        yield load_perfbench("run")
+    finally:
+        patch.undo()
+
+
+def benchmark_costs(run, name):
+    """Cases 2-4 of a workload's day at the benchmark's config seed, rounded
+    as ``perfbench/run.py`` checks them."""
+    lib = run.import_fleetdr()
+    cfg, sc = run.set_up(lib, run.WORKLOADS[name].fleet, run.CONFIG_SEED)
+    comparison = report.run_cases(sc.fleet, sc.household_total, sc.market,
+                                  cfg.case)
+    return tuple(round(comparison.get(c).total_cost, 2) for c in (2, 3, 4))
+
+
+def test_benchmark_reference_digests_are_tier_1s(perfbench_run):
+    from test_acceptance import REFERENCE_DIGESTS
+    assert perfbench_run.REFERENCE_DIGESTS == REFERENCE_DIGESTS
+
+
+def test_benchmark_reference_costs_match_the_reference_day(
+        perfbench_run, reference_cases):
+    assert perfbench_run.CONFIG_SEED == load_config(REFERENCE_YAML).seed
+    costs = tuple(round(reference_cases.get(c).total_cost, 2)
+                  for c in (2, 3, 4))
+    assert costs == perfbench_run.EXPECTED_COSTS["reference"]
+
+
+@pytest.fixture(scope="module")
+def v2g_half_costs(perfbench_run):
+    return benchmark_costs(perfbench_run, "v2g_half")
+
+
+def test_benchmark_v2g_half_costs_of_cases_2_and_3_match(perfbench_run,
+                                                        v2g_half_costs):
+    assert v2g_half_costs[:2] == perfbench_run.EXPECTED_COSTS["v2g_half"][:2]
+
+
+# the pin predates a change to the capped case: the day gives 790.71, the
+# pin says 791.45, so every default-seed v2g_half run reads "correct": false
+# (ROADMAP item 2). Re-pinning it in the benchmark turns this into a pass.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="stale v2g_half case 4 pin in perfbench/run.py")
+def test_benchmark_v2g_half_case_4_pin_matches(perfbench_run,
+                                               v2g_half_costs):
+    assert v2g_half_costs[2] == perfbench_run.EXPECTED_COSTS["v2g_half"][2]

@@ -329,6 +329,21 @@ def test_an_overflowing_value_ends_cleanly(tmp_path, capsys, key, value,
         assert named in err
 
 
+def test_an_int_past_the_digit_limit_exits_config(tmp_path, capsys):
+    # PyYAML builds ints with int(), which refuses more than 4,300 digits
+    path = tmp_path / "long_int.yaml"
+    text = Path(REFERENCE_YAML).read_text()
+    assert "rate_kw: 1.8\n" in text
+    path.write_text(text.replace("rate_kw: 1.8\n",
+                                 "rate_kw: 1" + "0" * 5000 + "\n"))
+    code = main(["gen-fleet", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {path}: invalid YAML: ")
+    assert "4300 digits" in err and "Traceback" not in err
+
+
 def test_a_fleet_numpy_cannot_lay_out_is_refused_before_any_array(tmp_path):
     cfg = reference_day_with(tmp_path, "fleet.n_users", 2 ** 62)
     tracemalloc.start()

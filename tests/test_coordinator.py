@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import fleetdr.coordinator as coordinator
 from fleetdr.coordinator import (
     CaseConfig,
     ConvergenceSpec,
@@ -334,13 +335,24 @@ def test_simulate_day_spike_changes_only_realtime_aggregate():
     (CaseConfig(trigger=0.5), False, "run.trigger"),
     (CaseConfig(conv=ConvergenceSpec(max_sweeps=0)), True, "run.max_sweeps"),
 ])
-def test_simulate_day_refuses_bad_run_settings(case, altering, key):
+def test_simulate_day_refuses_bad_run_settings(monkeypatch, case, altering,
+                                               key):
     fleet = small_fleet(n=4)
     hh = np.full(N_SLOTS, 3.0)
     day = make_day(purchased=water_fill(
         hh, sum(p.required_energy for p in fleet)))
+    passes = []
+    inner = coordinator.best_response_pass
+
+    def counted_pass(*args, **kwargs):
+        passes.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "best_response_pass", counted_pass)
     with pytest.raises(ConfigError, match=key):
         simulate_day(fleet, hh, day, case, altering=altering)
+    # refused before the first day-ahead sweep
+    assert passes == []
 
 
 def test_run_settings_have_defaults_only_in_case_config():
