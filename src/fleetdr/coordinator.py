@@ -29,6 +29,15 @@ the cap's head-room, prices its free slots and calls
 :func:`~fleetdr.subproblem.solve_vehicle`, which returns the plan or raises
 for an infeasible vehicle.
 
+A pass prices only the free slots. It holds everyone's load (households
+plus the fleet's aggregate) for the whole pass and adds it up again only
+after a plan write, with the same expression, so every visit reads the
+bits a fresh sum would give. A visit takes the vehicle's held plan on its
+free slots once: everyone else's load there is the load less the held
+plan, its prices are that less the purchase, and the cap's head-room is
+the cap less it. The pass reads the purchase afresh and keeps nothing
+from one pass to the next that a caller can change between them.
+
 Beside the LP the pass keeps what the vehicle's last solve saw: the capped
 box's upper bounds, the stable argsort of its prices and, when that solve
 ran the exact program, which neighbours in sorted order tied. The greedy
@@ -224,7 +233,8 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
     The inputs are checked once per pass, not once per solve. Each
     vehicle's LP is derived once per ``realized_upto`` and kept on
     ``state``; per solve the pass only cuts its box to the cap's head-room,
-    prices its free slots and solves it, so it writes exactly the plans
+    prices its free slots (against everyone's load, refreshed after each
+    write) and solves it, so it writes exactly the plans
     ``solve(build_subproblem(...))`` gives and raises the same errors. A
     vehicle whose box, price order and, after an exact solve, price ties
     repeat those of its last solve keeps its plan unsolved, and a solve

@@ -240,17 +240,17 @@ def load_config(path) -> ScenarioConfig:
     Parsing uses libyaml's safe loader when PyYAML was built with it, and
     PyYAML's pure-Python safe loader otherwise; both resolve and construct
     values the same way, so they give the same config. Either reads
-    exponent forms such as ``1e-6`` as floats, as YAML 1.2 does. A value
-    that PyYAML's constructors cannot build (an int past Python's digit
-    limit for int/str conversion, a date with month 13) is invalid YAML
-    too.
+    exponent forms such as ``1e-6`` as floats, as YAML 1.2 does. Text that
+    is not UTF-8, and a value that PyYAML's constructors cannot build (an
+    int past Python's digit limit for int/str conversion, a date with
+    month 13), is invalid YAML too.
     """
     loader = _yaml12_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             raw = yaml.load(fh, Loader=loader)
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+        except (yaml.YAMLError, ValueError) as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     try:
         return config_from_dict(raw)
     except ConfigError as exc:

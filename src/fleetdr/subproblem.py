@@ -14,12 +14,15 @@ steps:
 
 * :func:`vehicle_lp` derives the part of the LP that stays fixed while the
   vehicle's history does: free slots, energy target, band and rate box.
-* :func:`capped_box` tightens the box to a demand cap's head-room, or
-  raises when the cap leaves the vehicle no way to meet its target.
+* :func:`capped_box` tightens the box to a demand cap's head-room on the
+  free slots, or raises when the cap leaves the vehicle no way to meet its
+  target.
 * :func:`solve_vehicle` solves the LP or raises: a greedy fill that is
   provably optimal whenever the state-of-charge band does not bind, and an
   exact dynamic program over the running sum (a min-cost flow along the
-  slot chain) when it does.
+  slot chain) when it does. Over a charge-only box (every lower bound
+  +0.0) the fill never discharges, so its running sums never fall and the
+  band check reads only the first and the last.
 
 :func:`build_subproblem` and :func:`solve` expose the same steps as one
 :class:`UserSubproblem` at a time. The test suite's oracles (a dynamic
@@ -92,9 +95,8 @@ class Box(NamedTuple):
 
 
 def _box(lo: np.ndarray, up: np.ndarray) -> Box:
-    width = (up - lo).tolist()
-    return Box(lo, up, float(lo.sum()), float(up.sum()), lo.tolist(), width,
-               lo - FEAS_TOL,
+    return Box(lo, up, float(lo.sum()), float(up.sum()), lo.tolist(),
+               (up - lo).tolist(), lo - FEAS_TOL,
                lo.tobytes() == bytes(lo.nbytes) and bool((up >= 0).all()))
 
 
@@ -351,6 +353,8 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
     if its running sums happen to respect the band it is optimal for the
     full problem too (adding constraints can only worsen the optimum), and
     that certificate lets most solves skip the exact prefix-band program.
+    Over a ``charge_only`` box the sums never fall, so the least is the
+    first and the greatest the last; other boxes check every sum.
     The pour reads the prices only through ``order``, and the exact
     program only compares them, so the plan depends on the prices only
     through their order and, for an exact plan, which of them tie.
@@ -372,9 +376,8 @@ def solve_vehicle(lp: VehicleLp | UserSubproblem, box: Box,
             user_id=lp.user_id, constraint="energy balance")
     x = _pour(lo_list.copy(), width, target - lo_sum, order)
     if charge_only:
-        # no slot discharges, so the running sums never fall: the least is
-        # the first and the greatest the last, which sum() adds left to
-        # right as accumulate does (Python 3.12 on compensates float sums)
+        # sum() adds left to right as accumulate does (before Python 3.12,
+        # which compensates float sums)
         fits = (x[0] >= lp.min_prefix - FEAS_TOL
                 and sum(x) <= lp.max_prefix + FEAS_TOL)
     else:

@@ -6,6 +6,7 @@ called through.
 ``perfbench/run.py`` captures every ``report.simulate_day``; a renamed,
 inlined or deleted name, or one the program stops calling through its
 module global, would break only the benchmark, so tier-1 checks both here.
+It also holds the benchmark's output pins to tier-1's.
 """
 
 import importlib
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 from conftest import REFERENCE_YAML, REPO_ROOT
+from test_acceptance import REFERENCE_DIGESTS
 
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
@@ -93,7 +95,6 @@ def benchmark_costs(run, name):
 
 
 def test_benchmark_reference_digests_are_tier_1s(perfbench_run):
-    from test_acceptance import REFERENCE_DIGESTS
     assert perfbench_run.REFERENCE_DIGESTS == REFERENCE_DIGESTS
 
 

@@ -329,19 +329,25 @@ def test_an_overflowing_value_ends_cleanly(tmp_path, capsys, key, value,
         assert named in err
 
 
-def test_an_int_past_the_digit_limit_exits_config(tmp_path, capsys):
-    # PyYAML builds ints with int(), which refuses more than 4,300 digits
-    path = tmp_path / "long_int.yaml"
-    text = Path(REFERENCE_YAML).read_text()
-    assert "rate_kw: 1.8\n" in text
-    path.write_text(text.replace("rate_kw: 1.8\n",
-                                 "rate_kw: 1" + "0" * 5000 + "\n"))
+# values PyYAML's constructors refuse with a ValueError, not a YAMLError
+@pytest.mark.parametrize("old, new, says", [
+    # int() refuses a string of more than 4,300 digits
+    (b"rate_kw: 1.8\n", b"rate_kw: 1" + b"0" * 5000 + b"\n", "4300 digits"),
+    (b"seed: 20250401\n", b"seed: 2025-13-01\n", "month must be in 1..12"),
+    (b"seed: 20250401\n", b"seed: \xff\n", "can't decode byte 0xff"),
+], ids=["long-int", "month-13", "not-utf-8"])
+def test_a_value_yaml_cannot_construct_exits_config(tmp_path, capsys, old,
+                                                     new, says):
+    path = tmp_path / "bad_value.yaml"
+    raw = Path(REFERENCE_YAML).read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new))
     code = main(["gen-fleet", "--config", str(path),
                  "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: {path}: invalid YAML: ")
-    assert "4300 digits" in err and "Traceback" not in err
+    assert says in err and "Traceback" not in err
 
 
 def test_a_fleet_numpy_cannot_lay_out_is_refused_before_any_array(tmp_path):
