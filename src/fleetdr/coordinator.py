@@ -55,12 +55,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Annotated, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .fleet import N_SLOTS, PevProfile, as_profile
+from .fleet import N_SLOTS, PevProfile, as_profile, check_ranges
 from .market import MarketDay
 from .subproblem import Box, capped_box, solve_vehicle, t0_term, vehicle_lp
 # unused here; perfbench/tracing.py wraps both (test_traced_name_resolves)
@@ -71,15 +71,11 @@ from .subproblem import build_subproblem, solve  # noqa: F401
 class ConvergenceSpec:
     """Stopping rule for best-response sweeps."""
 
-    max_sweeps: int = 10
-    mse_tol: float = 1e-6
+    max_sweeps: Annotated[int, ">= 1"] = 10
+    mse_tol: Annotated[float, "positive"] = 1e-6
 
     def validate(self) -> None:
-        # each check fails on NaN, which compares false
-        if not self.max_sweeps >= 1:
-            raise ConfigError("run.max_sweeps must be >= 1")
-        if not self.mse_tol > 0:
-            raise ConfigError("run.mse_tol must be positive")
+        check_ranges(self, "run")
 
 
 @dataclass
@@ -87,29 +83,20 @@ class CaseConfig:
     """A day's run settings: a scenario file's ``run`` section, with
     ``conv`` flattened into it.
 
-    ``kappa`` is the demand-cap factor (None = cap off, making case 4
-    degenerate to case 3); ``lam_rt`` weighs price tracking against the
-    immediate-consumption term during spike response.
+    ``kappa`` is the demand-cap factor, above 1 (None = cap off, making
+    case 4 degenerate to case 3); ``lam_rt`` weighs price tracking against
+    the immediate-consumption term during spike response. Each field's
+    range is declared beside its type.
     """
 
-    kappa: float | None = None
-    lam_rt: float = 0.5
-    trigger: float = 2.0
-    t0_term_scale: float = 1.0
+    kappa: Annotated[float | None, "> 1"] = None
+    lam_rt: Annotated[float, "in [0, 1)"] = 0.5
+    trigger: Annotated[float, "> 1"] = 2.0
+    t0_term_scale: Annotated[float, "positive"] = 1.0
     conv: ConvergenceSpec = field(default_factory=ConvergenceSpec)
 
     def validate(self) -> None:
-        # each check fails on NaN, which compares false
-        if self.kappa is not None and not self.kappa > 1:
-            raise ConfigError(
-                f"run.kappa must be > 1 when set, got {self.kappa}")
-        if not 0 <= self.lam_rt < 1:
-            raise ConfigError(
-                f"run.lam_rt must be in [0, 1), got {self.lam_rt}")
-        if not self.trigger > 1:
-            raise ConfigError(f"run.trigger must be > 1, got {self.trigger}")
-        if not self.t0_term_scale > 0:
-            raise ConfigError("run.t0_term_scale must be positive")
+        check_ranges(self, "run")
         self.conv.validate()
 
 
@@ -195,7 +182,8 @@ def decide_altering(rt_price: float, da_price: float, trigger: float) -> bool:
 def cap_value(household_total, fleet: Sequence[PevProfile],
               kappa: float | None) -> float | None:
     """Decarbonization cap: kappa times the day's mean total demand, or
-    None (no cap) when ``kappa`` is None.
+    None (no cap) when ``kappa`` is None. ``kappa`` must be in
+    ``CaseConfig.kappa``'s range, > 1, so the cap lies above the mean.
 
     The mean is conservation-based -- households plus every vehicle's
     required energy spread over the day -- so it does not depend on how the
@@ -203,8 +191,8 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
     """
     if kappa is None:
         return None
-    if kappa <= 0:
-        raise ConfigError(f"run.kappa must be positive, got {kappa}")
+    # run.kappa's declared range; the other run settings keep defaults
+    check_ranges(CaseConfig(kappa=kappa), "run")
     hh = as_profile(household_total)
     total = float(hh.sum()) + sum(p.required_energy for p in fleet)
     cap = kappa * total / N_SLOTS

@@ -12,9 +12,13 @@ Load profiles are plain numpy arrays of shape (24,), in kWh per slot.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
+import typing
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import (Annotated, Callable, Iterable, Iterator, List, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -52,6 +56,44 @@ def _finite_number(v) -> bool:
         return _number(v) and math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _range_test(rule: str) -> Callable[[object], bool]:
+    """The test a declared range names: ``positive``, ``>= a``, ``> a``,
+    ``in a..b`` (whole numbers) or an interval such as ``in (0, 1]``.
+    Every comparison is false on NaN, and exact on an int."""
+    if rule == "positive":
+        rule = "> 0"
+    if rule[0] == ">":
+        op, low = rule.split()
+        rule = f"in {'[' if op == '>=' else '('}{low}, inf]"
+    elif ".." in rule:
+        rule = "in [{}, {}]".format(*rule[3:].split(".."))
+    low, high = map(float, rule[4:-1].split(", "))
+    above = operator.ge if rule[3] == "[" else operator.gt
+    below = operator.le if rule[-1] == "]" else operator.lt
+    return lambda v: above(v, low) and below(v, high)
+
+
+@functools.cache
+def _declared_ranges(cls) -> dict:
+    """``{field: (range, test)}`` for each field of the spec dataclass
+    ``cls`` whose type hint declares a range: ``Annotated[float,
+    "positive"]``."""
+    return {name: (hint.__metadata__[0], _range_test(hint.__metadata__[0]))
+            for name, hint in typing.get_type_hints(
+                cls, include_extras=True).items()
+            if typing.get_origin(hint) is Annotated}
+
+
+def check_ranges(spec, section: str) -> None:
+    """Raise ConfigError for the first field of ``spec`` outside its
+    declared range, naming it ``section.field``. An unset optional field
+    (None) passes."""
+    for name, (rule, test) in _declared_ranges(type(spec)).items():
+        v = getattr(spec, name)
+        if v is not None and not test(v):
+            raise ConfigError(f"{section}.{name} must be {rule}, got {v!r}")
 
 
 def hour_to_slot(hours, day_start_hour: int = 0) -> np.ndarray:
@@ -103,8 +145,8 @@ class PevProfile:
         if self.departure_slot < self.arrival_slot:
             raise ConfigError(
                 f"user {self.user_id}: charging window wraps past the end of "
-                "the scheduling day; shift day_start_hour so every window "
-                "fits inside one day")
+                "the scheduling day; shift fleet.day_start_hour so every "
+                "window fits inside one day")
         # one sum is non-finite exactly when a term is (or it overflows)
         if not math.isfinite(self.required_energy + self.capacity
                              + self.initial_soc + self.rate):
@@ -303,39 +345,28 @@ class FleetSpec:
     it), which keeps all LP bounds on one lattice.
     """
 
-    n_users: int
-    capacity_kwh: float = 24.0
-    rate_kw: float = 1.8
-    v2g_fraction: float = 1.0
-    day_start_hour: int = 12
+    n_users: Annotated[int, ">= 0"]
+    capacity_kwh: Annotated[float, "positive"] = 24.0
+    rate_kw: Annotated[float, "positive"] = 1.8
+    v2g_fraction: Annotated[float, "in [0, 1]"] = 1.0
+    day_start_hour: Annotated[int, "in 0..23"] = 12
     arrival: Dist = field(default_factory=_default_arrival)
     departure: Dist = field(default_factory=_default_departure)
     charging_time: Dist = field(default_factory=_default_charging_time)
     initial_soc: Dist = field(default_factory=_default_initial_soc)
-    energy_grid: float | None = None
+    energy_grid: Annotated[float | None, "positive"] = None
 
     def validate(self) -> None:
-        if self.n_users < 0:
-            raise ConfigError(f"fleet.n_users must be >= 0, got {self.n_users}")
+        check_ranges(self, "fleet")
         if self.n_users > MAX_USERS:
             raise ConfigError(
                 f"fleet.n_users must be at most {MAX_USERS}, the most rows "
                 f"a (n_users, {N_SLOTS}) float array can have, got "
                 f"{self.n_users}")
-        if self.capacity_kwh <= 0:
-            raise ConfigError("fleet.capacity_kwh must be positive")
-        if self.rate_kw <= 0:
-            raise ConfigError("fleet.rate_kw must be positive")
         if not math.isfinite(N_SLOTS * self.rate_kw):
             raise ConfigError(
                 f"fleet.rate_kw {self.rate_kw!r} is too large: a day of "
                 f"{N_SLOTS} slots at that rate overflows")
-        if not 0.0 <= self.v2g_fraction <= 1.0:
-            raise ConfigError("fleet.v2g_fraction must be in [0, 1]")
-        if not 0 <= self.day_start_hour <= 23:
-            raise ConfigError("fleet.day_start_hour must be in 0..23")
-        if self.energy_grid is not None and self.energy_grid <= 0:
-            raise ConfigError("fleet.energy_grid must be positive when set")
         self.arrival.validate("fleet.arrival")
         self.departure.validate("fleet.departure")
         self.charging_time.validate("fleet.charging_time")
@@ -421,30 +452,18 @@ class HouseholdSpec:
     mean (sigma ``noise_sigma``).
     """
 
-    mean_daily_kwh: float = 20.0
-    valley: float = 0.55
-    evening_peak: float = 2.0
-    evening_slot: int = 8
-    evening_width: float = 2.0
-    morning_peak: float = 1.3
-    morning_slot: int = 20
-    morning_width: float = 1.6
-    noise_sigma: float = 0.25
+    mean_daily_kwh: Annotated[float, ">= 0"] = 20.0
+    valley: Annotated[float, "positive"] = 0.55
+    evening_peak: Annotated[float, "positive"] = 2.0
+    evening_slot: Annotated[int, "in 1..24"] = 8
+    evening_width: Annotated[float, "positive"] = 2.0
+    morning_peak: Annotated[float, "positive"] = 1.3
+    morning_slot: Annotated[int, "in 1..24"] = 20
+    morning_width: Annotated[float, "positive"] = 1.6
+    noise_sigma: Annotated[float, ">= 0"] = 0.25
 
     def validate(self) -> None:
-        if self.mean_daily_kwh < 0:
-            raise ConfigError("households.mean_daily_kwh must be >= 0")
-        for name in ("valley", "evening_peak", "morning_peak"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"households.{name} must be positive")
-        for name in ("evening_slot", "morning_slot"):
-            if not 1 <= getattr(self, name) <= N_SLOTS:
-                raise ConfigError(f"households.{name} must be in 1..{N_SLOTS}")
-        for name in ("evening_width", "morning_width"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"households.{name} must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("households.noise_sigma must be >= 0")
+        check_ranges(self, "households")
         # baseline_household squares it; a float's ** raises on overflow
         if not math.isfinite(self.noise_sigma * self.noise_sigma):
             raise ConfigError(
@@ -471,8 +490,8 @@ class HouseholdSpec:
             mean = shape.mean()
         if not (math.isfinite(mean) and shape.min() >= 0):
             raise ConfigError(
-                f"households.valley {self.valley!r}, evening_peak "
-                f"{self.evening_peak!r} and morning_peak "
+                f"households.valley {self.valley!r}, households.evening_peak "
+                f"{self.evening_peak!r} and households.morning_peak "
                 f"{self.morning_peak!r} give a load shape that overflows or "
                 "rounds below 0")
         return shape / mean

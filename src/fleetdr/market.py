@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fleet import N_SLOTS, as_profile, read_csv, write_slot_csv
+from .fleet import (N_SLOTS, as_profile, check_ranges, read_csv,
+                    write_slot_csv)
 
 PRICE_CSV_HEADER = ["slot", "price_per_mwh"]
 PROFILE_CSV_HEADER = ["slot", "kwh"]
@@ -90,16 +92,11 @@ def procurement_cost(day: MarketDay, actual) -> CostBreakdown:
 class SpikeSpec:
     """A price excursion: RT price at ``slot`` forced to multiplier x DA."""
 
-    slot: int
-    multiplier: float = 10.0
+    slot: Annotated[int, "in 1..24"]
+    multiplier: Annotated[float, "positive"] = 10.0
 
     def validate(self) -> None:
-        if not 1 <= self.slot <= N_SLOTS:
-            raise ConfigError(
-                f"market.synthetic.spike.slot must be in 1..{N_SLOTS}")
-        if self.multiplier <= 0:
-            raise ConfigError(
-                "market.synthetic.spike.multiplier must be positive")
+        check_ranges(self, "market.synthetic.spike")
 
 
 @dataclass
@@ -113,23 +110,14 @@ class MarketSpec:
     as real two-settlement data shows.
     """
 
-    base_level_mwh: float = 33.0
-    amplitude: float = 0.35
-    peak_slot: int = 8
-    rt_noise_sigma: float = 0.03
+    base_level_mwh: Annotated[float, "positive"] = 33.0
+    amplitude: Annotated[float, "in [0, 1)"] = 0.35
+    peak_slot: Annotated[int, "in 1..24"] = 8
+    rt_noise_sigma: Annotated[float, ">= 0"] = 0.03
     spike: SpikeSpec | None = None
 
     def validate(self) -> None:
-        if self.base_level_mwh <= 0:
-            raise ConfigError(
-                "market.synthetic.base_level_mwh must be positive")
-        if not 0 <= self.amplitude < 1:
-            raise ConfigError("market.synthetic.amplitude must be in [0, 1)")
-        if not 1 <= self.peak_slot <= N_SLOTS:
-            raise ConfigError(
-                f"market.synthetic.peak_slot must be in 1..{N_SLOTS}")
-        if self.rt_noise_sigma < 0:
-            raise ConfigError("market.synthetic.rt_noise_sigma must be >= 0")
+        check_ranges(self, "market.synthetic")
         if self.spike is not None:
             self.spike.validate()
 
@@ -152,16 +140,19 @@ def synth_prices(spec: MarketSpec, seed: int) -> tuple[PriceSeries, PriceSeries]
                           f"{spec.base_level_mwh!r} is too large: the "
                           "day-ahead prices overflow")
     if not np.isfinite(rt_mwh).all():
+        # the day-ahead level scales both products, so name it too
+        level = f"(market.synthetic.base_level_mwh {spec.base_level_mwh!r})"
         slot = None if spec.spike is None else spec.spike.slot
         if slot is not None and not np.isfinite(rt_mwh[slot - 1]):
             raise ConfigError(
                 f"market.synthetic.spike.multiplier "
                 f"{spec.spike.multiplier!r} times the day-ahead price "
-                f"{da_mwh[slot - 1]:.6g} $/MWh at slot {slot} overflows")
+                f"{da_mwh[slot - 1]:.6g} $/MWh at slot {slot} {level} "
+                "overflows")
         raise ConfigError(f"market.synthetic.rt_noise_sigma "
                           f"{spec.rt_noise_sigma!r} is too large for "
-                          f"day-ahead prices up to {da_mwh.max():.6g} $/MWh: "
-                          "the real-time prices overflow")
+                          f"day-ahead prices up to {da_mwh.max():.6g} $/MWh "
+                          f"{level}: the real-time prices overflow")
     return (PriceSeries(da_mwh / 1000.0, kind="da"),
             PriceSeries(rt_mwh / 1000.0, kind="rt"))
 

@@ -15,7 +15,7 @@ import os
 import re
 import typing
 from dataclasses import MISSING, dataclass, field
-from typing import List
+from typing import Annotated, List
 
 import numpy as np
 import yaml
@@ -24,7 +24,8 @@ from .coordinator import CaseConfig, ConvergenceSpec
 from .errors import ConfigError
 from .fleet import (Dist, FleetSpec, HouseholdSpec, N_SLOTS, PevProfile,
                     _dist_from_config, _dist_to_dict, _finite_number,
-                    _number, as_profile, baseline_household, sample_fleet)
+                    _number, as_profile, baseline_household, check_ranges,
+                    sample_fleet)
 from .market import MarketDay, MarketSpec, SpikeSpec, load_market_day, \
     synth_prices, water_fill
 
@@ -42,28 +43,20 @@ class PurchaseSpec:
     The fleet's total energy (plus ``pad_kwh``) is valley-filled over the
     slots where at least ``coverage`` of the fleet is plugged in, and an
     optional fixed demand block is added at one slot (e.g. a grid-support
-    commitment at an expected spike hour).
+    commitment at an expected spike hour). Each field's range is declared
+    beside its type.
     """
 
-    coverage: float = 0.95
-    pad_kwh: float = 0.0
-    block_kwh: float = 0.0
-    block_slot: int | None = None
+    coverage: Annotated[float, "in (0, 1]"] = 0.95
+    pad_kwh: Annotated[float, ">= 0"] = 0.0
+    block_kwh: Annotated[float, ">= 0"] = 0.0
+    block_slot: Annotated[int | None, "in 1..24"] = None
 
     def validate(self) -> None:
-        if not 0 < self.coverage <= 1:
-            raise ConfigError(
-                f"market.purchase.coverage must be in (0, 1], got {self.coverage}")
-        if self.pad_kwh < 0:
-            raise ConfigError("market.purchase.pad_kwh must be >= 0")
-        if self.block_kwh < 0:
-            raise ConfigError("market.purchase.block_kwh must be >= 0")
+        check_ranges(self, "market.purchase")
         if self.block_kwh > 0 and self.block_slot is None:
             raise ConfigError(
                 "market.purchase.block_slot is required when block_kwh > 0")
-        if self.block_slot is not None and not 1 <= self.block_slot <= N_SLOTS:
-            raise ConfigError(
-                f"market.purchase.block_slot must be in 1..{N_SLOTS}")
 
 
 @dataclass
@@ -85,8 +78,8 @@ class ScenarioConfig:
         self.fleet.validate()
         self.households.validate()
         if (self.market_synth is None) == (self.market_files is None):
-            raise ConfigError(
-                "market: exactly one of 'synthetic' and 'files' must be given")
+            raise ConfigError("market: exactly one of market.synthetic and "
+                              "market.files must be given")
         if self.market_files is not None:
             for name in ("da_prices.csv", "rt_prices.csv", "da_profile.csv"):
                 path = os.path.join(self.market_files, name)
@@ -103,9 +96,12 @@ class ScenarioConfig:
 
 # Each spec dataclass is the schema of its YAML section: its init fields
 # are the allowed keys, a field without a default is a required key, and
-# the field's annotation is the type its value must have. The top level
-# adds only its layout: ``market`` holds three ScenarioConfig fields under
-# other names, and ``run`` is CaseConfig with ConvergenceSpec flattened in.
+# the field's annotation is the type its value must have. A range beside
+# the type, ``Annotated[float, "positive"]``, is left to the spec's
+# validate() (fleet.check_ranges): get_type_hints strips it here. The top
+# level adds only its layout: ``market`` holds three ScenarioConfig fields
+# under other names, and ``run`` is CaseConfig with ConvergenceSpec
+# flattened in.
 _MARKET_KEYS = {"synthetic": "market_synth", "files": "market_files",
                 "purchase": "purchase"}
 

@@ -129,9 +129,12 @@ def test_cap_value_scales_mean_total_demand():
     fleet = [make_profile(required_energy=3.6),
              make_profile(user_id=2, required_energy=2.4)]
     cap = cap_value(hh, fleet, kappa=1.5)
-    assert cap == pytest.approx(1.5 * (240.0 + 6.0) / 24.0)
-    with pytest.raises(ConfigError):
-        cap_value(hh, fleet, kappa=0.0)
+    assert cap == 1.5 * (240.0 + 6.0) / 24.0
+    # run.kappa's range: a cap at or below the mean demand is refused
+    for kappa in (1.0, 0.5, 0.0):
+        with pytest.raises(ConfigError,
+                           match=rf"^run.kappa must be > 1, got {kappa}$"):
+            cap_value(hh, fleet, kappa=kappa)
 
 
 def test_cap_value_without_kappa_is_no_cap():

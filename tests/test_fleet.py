@@ -22,7 +22,7 @@ from fleetdr.fleet import (
     uncoordinated_profile,
     write_fleet_csv,
 )
-from fleetdr.fleet import _fleet_columns
+from fleetdr.fleet import _fleet_columns, _range_test, check_ranges
 
 
 def make_profile(**kw):
@@ -286,6 +286,37 @@ def test_fleet_spec_validate_errors():
         small_spec(energy_grid=0.0).validate()
     with pytest.raises(ConfigError):
         small_spec(rate_kw=0.0).validate()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("rule, inside, outside", [
+    ("positive", [1e-300, 2 ** 63, math.inf], [0, -1.0, NAN]),
+    (">= 0", [0, 0.0, 1e308], [-1e-300, -1, NAN]),
+    (">= 1", [1, 10], [0, NAN]),
+    ("> 1", [1.0000001, math.inf], [1, 0.5, NAN]),
+    ("in 1..24", [1, 24], [0, 25, 2 ** 63]),
+    ("in 0..23", [0, 23], [-1, 24]),
+    ("in (0, 1]", [1, 1e-300], [0, 1.5, NAN]),
+    ("in [0, 1)", [0, 0.999], [1, -0.1, NAN]),
+    ("in [0, 1]", [0, 1], [-1e-300, 2, NAN]),
+])
+def test_a_declared_range_holds_its_bounds(rule, inside, outside):
+    test = _range_test(rule)
+    assert [test(v) for v in inside] == [True] * len(inside)
+    assert [test(v) for v in outside] == [False] * len(outside)
+
+
+def test_check_ranges_names_the_first_field_out_of_range():
+    check_ranges(small_spec(energy_grid=None), "fleet")  # unset passes
+    with pytest.raises(ConfigError) as exc:
+        check_ranges(small_spec(rate_kw=-1.0, energy_grid=0), "fleet")
+    assert str(exc.value) == "fleet.rate_kw must be positive, got -1.0"
+    with pytest.raises(ConfigError) as exc:
+        check_ranges(HouseholdSpec(evening_slot=25), "households")
+    assert str(exc.value) == "households.evening_slot must be in 1..24, " \
+        "got 25"
 
 
 def reference_sample_fleet(spec, seed):

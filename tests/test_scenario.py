@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -7,14 +9,18 @@ import yaml
 
 from conftest import FLAT_DAY_YAML, REFERENCE_YAML, with_each_yaml_loader
 
+from fleetdr.coordinator import CaseConfig, ConvergenceSpec
 from fleetdr.errors import ConfigError
-from fleetdr.fleet import N_SLOTS, PevProfile, baseline_household, sample_fleet
-from fleetdr.market import synth_prices, save_market_day
+from fleetdr.fleet import (N_SLOTS, FleetSpec, HouseholdSpec, PevProfile,
+                           _declared_ranges, baseline_household, sample_fleet)
+from fleetdr.market import MarketSpec, SpikeSpec, synth_prices, \
+    save_market_day
 from fleetdr.scenario import (
     HOUSEHOLD_SEED_OFFSET,
     PRICE_SEED_OFFSET,
     PurchaseSpec,
     ScenarioConfig,
+    _fields,
     build_scenario,
     config_digest,
     config_from_dict,
@@ -303,6 +309,45 @@ def test_a_value_out_of_range_is_named_by_its_key(key, value):
     names = [".".join(parents), leaf] if "family" in section else [key]
     for name in names:
         assert name in str(exc.value)
+
+
+# the config section each spec's fields are read from
+SPEC_SECTIONS = {FleetSpec: "fleet", HouseholdSpec: "households",
+                 MarketSpec: "market.synthetic",
+                 SpikeSpec: "market.synthetic.spike",
+                 PurchaseSpec: "market.purchase", CaseConfig: "run",
+                 ConvergenceSpec: "run"}
+
+
+def spec_classes(cls):
+    """``cls`` and every spec dataclass its fields hold, recursively."""
+    yield cls
+    for tp, _, _ in _fields(cls).values():
+        if dataclasses.is_dataclass(tp):
+            yield from spec_classes(tp)
+
+
+def test_every_declared_range_has_an_out_of_range_edit():
+    assert {cls for cls in spec_classes(ScenarioConfig)
+            if _declared_ranges(cls)} == set(SPEC_SECTIONS)
+    with open(REFERENCE_YAML) as fh:
+        reference = yaml.safe_load(fh)
+    for cls, section in SPEC_SECTIONS.items():
+        for name, (rule, _) in _declared_ranges(cls).items():
+            path = f"{section}.{name}"
+            edits = [value for key, value in RANGE_EDITS if key == path]
+            refused = []
+            for value in edits:
+                raw = copy.deepcopy(reference)
+                *parents, leaf = path.split(".")
+                functools.reduce(dict.get, parents, raw)[leaf] = value
+                try:
+                    config_from_dict(raw)
+                except ConfigError as exc:
+                    if str(exc) == f"{path} must be {rule}, got {value!r}":
+                        refused.append(value)
+            assert refused, f"RANGE_EDITS has no edit of {path} outside " \
+                            f"its range, {rule}"
 
 
 def test_load_config_prefixes_path(tmp_path):
