@@ -3,11 +3,11 @@ spike response for electric-vehicle charging under a demand cap."""
 
 from .errors import ConfigError, DataError, FleetdrError, InfeasibleError
 from .fleet import (Dist, FleetSpec, HouseholdSpec, PevProfile,
-                    baseline_household, read_fleet_csv, sample_fleet,
-                    uncoordinated_profile, write_fleet_csv)
+                    baseline_household, sample_fleet, uncoordinated_profile,
+                    write_fleet_csv)
 from .market import (CostBreakdown, MarketDay, MarketSpec, PriceSeries,
                      SpikeSpec, load_market_day, procurement_cost,
-                     save_market_day, synth_prices, water_fill)
+                     synth_prices, water_fill)
 from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
                           ShapedPlans, cap_value, decide_altering,
                           real_time_walk, shape_day_ahead, simulate_day)

@@ -171,9 +171,8 @@ def decide_altering(rt_price: float, da_price: float, trigger: float) -> bool:
 
     Fires when the real-time price has diverged from the day-ahead price by
     the trigger ratio in either direction. Equal prices never fire.
+    ``trigger`` must be in ``CaseConfig.trigger``'s range, > 1.
     """
-    if trigger <= 1:
-        raise ConfigError(f"trigger ratio must be > 1, got {trigger}")
     if rt_price == da_price:
         return False
     return rt_price >= trigger * da_price or rt_price <= da_price / trigger

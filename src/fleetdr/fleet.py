@@ -17,12 +17,11 @@ import math
 import operator
 import typing
 from dataclasses import dataclass, field
-from typing import (Annotated, Callable, Iterable, Iterator, List, Sequence,
-                    Tuple)
+from typing import Annotated, Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 N_SLOTS = 24
 # the most rows numpy can give a (n, N_SLOTS) float array, such as the
@@ -544,7 +543,7 @@ def uncoordinated_profile(fleet: Sequence[PevProfile]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV import/export
+# CSV export
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV file: the ``header`` row, then ``rows``."""
@@ -552,30 +551,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_csv(path, header: List[str]) -> Iterator[Tuple[int, List[str]]]:
-    """Yield ``(row_no, fields)`` for each non-blank row of a CSV file that
-    starts with ``header``; rows are numbered from 2, after the header.
-
-    Raises DataError naming the path on an empty file or a bad header, and
-    the row too on a row whose field count differs from the header's.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None:
-            raise DataError(f"{path}: empty file")
-        if head != header:
-            raise DataError(f"{path}: bad header {head!r}; expected "
-                            f"{header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no}: expected "
-                                f"{len(header)} fields, got {len(row)}")
-            yield row_no, row
 
 
 def write_slot_csv(path, header: Sequence[str], *columns) -> None:
@@ -592,26 +567,3 @@ def write_fleet_csv(fleet: Iterable[PevProfile], path) -> None:
          *(f"{v:.3f}" for v in (p.required_energy, p.capacity,
                                 p.initial_soc, p.rate)),
          int(p.v2g)] for p in fleet))
-
-
-def read_fleet_csv(path) -> List[PevProfile]:
-    """Read a fleet from CSV, validating every row.
-
-    Raises DataError naming the offending row on malformed input.
-    """
-    fleet = []
-    for row_no, row in read_csv(path, FLEET_CSV_HEADER):
-        try:
-            v2g = int(row[7])
-            if v2g not in (0, 1):
-                raise ValueError("v2g must be 0 or 1")
-            prof = PevProfile(*map(int, row[:3]), *map(float, row[3:7]),
-                              v2g=bool(v2g))
-            prof.validate()
-        except (ValueError, ConfigError) as exc:
-            raise DataError(f"{path}: row {row_no}: {exc}") from None
-        fleet.append(prof)
-    ids = [p.user_id for p in fleet]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate user_id values")
-    return fleet

@@ -1,7 +1,7 @@
 """Two-settlement market data: prices, procurement cost, synthetic days.
 
 Internally all loads are kWh and all prices are $/kWh. Price CSV files use
-the market-native $/MWh convention and are converted on ingest/export.
+the market-native $/MWh convention and are converted on ingest.
 
 The retailer buys a day-ahead profile at DA prices; the deviation of actual
 consumption from that profile settles at real-time prices, symmetrically
@@ -10,15 +10,16 @@ consumption from that profile settles at real-time prices, symmetrically
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fleet import (N_SLOTS, as_profile, check_ranges, read_csv,
-                    write_slot_csv)
+from .fleet import N_SLOTS, as_profile, check_ranges
 
 PRICE_CSV_HEADER = ["slot", "price_per_mwh"]
 PROFILE_CSV_HEADER = ["slot", "kwh"]
@@ -204,68 +205,64 @@ def water_fill(household_agg, energy: float, mask=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingest/export
+# CSV ingest
 
-def _read_slot_csv(path, header) -> np.ndarray:
-    """Read a 24-row ``slot,value`` CSV into its values in slot order.
+def _read_slot_csv(directory, name: str, header) -> np.ndarray:
+    """Read the 24-row CSV ``name`` in ``directory``, which starts with
+    ``header`` (``slot`` and one value column), into its values in slot
+    order.
 
-    On top of :func:`~fleetdr.fleet.read_csv`'s layout checks, validates
-    slot coverage (each of 1..24 exactly once) and that every value is a
-    finite number >= 0; errors name the path and the offending row.
+    Blank rows are skipped. Each of slots 1..24 must appear exactly once,
+    with a finite value >= 0. Raises DataError naming the path on any
+    fault, and the row too on a fault of one row; rows are numbered from 2,
+    after the header.
     """
+    path = os.path.join(directory, name)
     seen: dict[int, float] = {}
-    for row_no, row in read_csv(path, header):
-        try:
-            slot = int(row[0])
-            value = float(row[1])
-        except ValueError:
-            raise DataError(f"{path}: row {row_no}: non-numeric value") from None
-        if not 1 <= slot <= N_SLOTS:
-            raise DataError(f"{path}: row {row_no}: slot {slot} out of 1..{N_SLOTS}")
-        if slot in seen:
-            raise DataError(f"{path}: row {row_no}: duplicate slot {slot}")
-        if not (math.isfinite(value) and value >= 0):
-            raise DataError(f"{path}: row {row_no}: {header[1]} must be "
-                            f"finite and >= 0, got {row[1]}")
-        seen[slot] = value
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None:
+                raise DataError(f"{path}: empty file")
+            if head != header:
+                raise DataError(f"{path}: bad header {head!r}; expected "
+                                f"{header!r}")
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                where = f"{path}: row {row_no}"
+                if len(row) != len(header):
+                    raise DataError(f"{where}: expected {len(header)} "
+                                    f"fields, got {len(row)}")
+                try:
+                    slot = int(row[0])
+                    value = float(row[1])
+                except ValueError:
+                    raise DataError(f"{where}: non-numeric value") from None
+                if not 1 <= slot <= N_SLOTS:
+                    raise DataError(f"{where}: slot {slot} out of "
+                                    f"1..{N_SLOTS}")
+                if slot in seen:
+                    raise DataError(f"{where}: duplicate slot {slot}")
+                if not (math.isfinite(value) and value >= 0):
+                    raise DataError(f"{where}: {header[1]} must be finite "
+                                    f"and >= 0, got {row[1]}")
+                seen[slot] = value
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # bytes the text encoding cannot decode, or a field past csv's limit
+        raise DataError(f"{path}: {exc}") from None
     missing = sorted(set(range(1, N_SLOTS + 1)) - set(seen))
     if missing:
         raise DataError(f"{path}: missing slots {missing}")
     return np.array([seen[s] for s in range(1, N_SLOTS + 1)])
 
 
-def load_prices(path, kind: str) -> PriceSeries:
-    """Read a 24-row ``slot,price_per_mwh`` CSV into $/kWh."""
-    return PriceSeries(_read_slot_csv(path, PRICE_CSV_HEADER) / 1000.0,
-                       kind=kind)
-
-
-def save_prices(series: PriceSeries, path) -> None:
-    """Write a price series back to the $/MWh CSV format."""
-    write_slot_csv(path, PRICE_CSV_HEADER, series.values * 1000.0)
-
-
-def load_profile_csv(path) -> np.ndarray:
-    """Read a 24-row ``slot,kwh`` CSV into a load profile."""
-    return _read_slot_csv(path, PROFILE_CSV_HEADER)
-
-
-def save_profile_csv(profile, path) -> None:
-    write_slot_csv(path, PROFILE_CSV_HEADER, as_profile(profile))
-
-
 def load_market_day(directory) -> MarketDay:
     """Read a da_prices.csv / rt_prices.csv / da_profile.csv bundle."""
-    import os
-    da = load_prices(os.path.join(directory, "da_prices.csv"), kind="da")
-    rt = load_prices(os.path.join(directory, "rt_prices.csv"), kind="rt")
-    profile = load_profile_csv(os.path.join(directory, "da_profile.csv"))
-    return MarketDay(da_prices=da, rt_prices=rt, da_profile=profile)
-
-
-def save_market_day(day: MarketDay, directory) -> None:
-    import os
-    os.makedirs(directory, exist_ok=True)
-    save_prices(day.da_prices, os.path.join(directory, "da_prices.csv"))
-    save_prices(day.rt_prices, os.path.join(directory, "rt_prices.csv"))
-    save_profile_csv(day.da_profile, os.path.join(directory, "da_profile.csv"))
+    da = _read_slot_csv(directory, "da_prices.csv", PRICE_CSV_HEADER)
+    rt = _read_slot_csv(directory, "rt_prices.csv", PRICE_CSV_HEADER)
+    profile = _read_slot_csv(directory, "da_profile.csv", PROFILE_CSV_HEADER)
+    return MarketDay(da_prices=PriceSeries(da / 1000.0, kind="da"),
+                     rt_prices=PriceSeries(rt / 1000.0, kind="rt"),
+                     da_profile=profile)

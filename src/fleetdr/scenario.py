@@ -73,8 +73,9 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # config_from_dict has checked the seed's type
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         self.fleet.validate()
         self.households.validate()
         if (self.market_synth is None) == (self.market_files is None):
@@ -251,11 +252,6 @@ def load_config(path) -> ScenarioConfig:
         return config_from_dict(raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def save_config(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

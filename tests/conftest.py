@@ -1,5 +1,5 @@
-"""Shared fixtures: repo paths, the frozen large-scenario build and the
-plan audits.
+"""Shared fixtures: repo paths, the frozen large-scenario build, the plan
+audits and the writers of the config and market files the program reads.
 
 The reference scenario (1000 vehicles) is built once per session and shared
 by every test that only reads it; tests that mutate schedule state build
@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 import yaml
 
+from fleetdr.fleet import write_slot_csv
+from fleetdr.market import PRICE_CSV_HEADER, PROFILE_CSV_HEADER
 from fleetdr.report import run_cases
-from fleetdr.scenario import build_scenario, load_config
+from fleetdr.scenario import build_scenario, config_to_dict, load_config
 from fleetdr.subproblem import FEAS_TOL
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,6 +25,25 @@ REFERENCE_YAML = os.path.join(CONFIG_DIR, "reference.yaml")
 FLAT_DAY_YAML = os.path.join(CONFIG_DIR, "flat_day.yaml")
 
 RESERVE = 0.2  # state-of-charge floor, share of capacity
+
+
+def save_config(cfg, path):
+    """Write the ``ScenarioConfig`` ``cfg`` as a YAML file ``load_config``
+    reads back to the same config."""
+    with open(path, "w") as fh:
+        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
+
+
+def save_market_day(day, directory):
+    """Write the ``MarketDay`` ``day`` as the da_prices.csv / rt_prices.csv
+    / da_profile.csv bundle that ``market.files`` names: prices in $/MWh,
+    every value with 6 decimals."""
+    os.makedirs(directory, exist_ok=True)
+    for name, header, values in (
+            ("da_prices.csv", PRICE_CSV_HEADER, day.da_prices.values * 1000.0),
+            ("rt_prices.csv", PRICE_CSV_HEADER, day.rt_prices.values * 1000.0),
+            ("da_profile.csv", PROFILE_CSV_HEADER, day.da_profile)):
+        write_slot_csv(os.path.join(directory, name), header, values)
 
 
 def audit_plan(prof, x, who, tol=1e-6):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import (FLAT_DAY_YAML, REFERENCE_YAML, REPO_ROOT,
-                      with_each_yaml_loader)
+from conftest import (FLAT_DAY_YAML, REFERENCE_YAML, REPO_ROOT, save_config,
+                      save_market_day, with_each_yaml_loader)
 
 from fleetdr.cli import (
     EXIT_CONFIG,
@@ -21,6 +21,7 @@ from fleetdr.cli import (
     EXIT_OK,
     main,
 )
+from fleetdr.scenario import build_scenario, load_config
 
 
 def write_config(path, *, seed=11, n=40, spike=True, kappa=None,
@@ -421,3 +422,90 @@ def test_tight_cap_exits_infeasible(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_INFEASIBLE
     assert "infeasible:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# market.files: the CSV bundle
+
+def flat_day_from_files(tmp_path):
+    """configs/flat_day.yaml with its market day written out as a bundle
+    and named by ``market.files``: the config's path and the bundle."""
+    cfg = load_config(FLAT_DAY_YAML)
+    bundle = tmp_path / "market"
+    save_market_day(build_scenario(cfg).market, bundle)
+    cfg.market_synth, cfg.market_files = None, str(bundle)
+    save_config(cfg, tmp_path / "files.yaml")
+    return str(tmp_path / "files.yaml"), bundle
+
+
+def with_row(row, text):
+    """An edit of a CSV's lines that puts ``text`` on ``row`` (the header
+    is row 1), or deletes that row when ``text`` is None."""
+    return lambda lines: [*lines[:row - 1], *([] if text is None else [text]),
+                          *lines[row:]]
+
+
+# one corruption each: the edit, and the error after the file's path
+# ({column} is the file's value column); slot 5 sits on row 6
+CSV_CORRUPTIONS = {
+    "non-numeric": (with_row(6, "5,abc"), "row 6: non-numeric value"),
+    "slot-out-of-range": (with_row(6, "25,1.0"),
+                          "row 6: slot 25 out of 1..24"),
+    "duplicate-slot": (with_row(6, "4,1.0"), "row 6: duplicate slot 4"),
+    "negative": (with_row(6, "5,-1.0"),
+                 "row 6: {column} must be finite and >= 0, got -1.0"),
+    "nan": (with_row(6, "5,nan"),
+            "row 6: {column} must be finite and >= 0, got nan"),
+    "inf": (with_row(6, "5,inf"),
+            "row 6: {column} must be finite and >= 0, got inf"),
+    "extra-field": (with_row(6, "5,1.0,1"),
+                    "row 6: expected 2 fields, got 3"),
+    "short-row": (with_row(6, "5"), "row 6: expected 2 fields, got 1"),
+    "bad-header": (with_row(1, "slot,value"),
+                   "bad header ['slot', 'value']; expected "
+                   "['slot', '{column}']"),
+    "empty-file": (lambda lines: [], "empty file"),
+    "missing-slot": (with_row(6, None), "missing slots [5]"),
+}
+
+
+def test_a_market_bundle_runs_compare_cases(tmp_path):
+    cfg, bundle = flat_day_from_files(tmp_path)
+    path = bundle / "da_profile.csv"  # with a blank row after each row
+    path.write_text(path.read_text().replace("\n", "\n\n"))
+    assert main(["compare-cases", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("corruption", CSV_CORRUPTIONS)
+@pytest.mark.parametrize("name, column", [("da_prices.csv", "price_per_mwh"),
+                                          ("rt_prices.csv", "price_per_mwh"),
+                                          ("da_profile.csv", "kwh")])
+def test_a_corrupt_market_csv_exits_config_naming_file_and_row(
+        tmp_path, capsys, name, column, corruption):
+    cfg, bundle = flat_day_from_files(tmp_path)
+    edit, says = CSV_CORRUPTIONS[corruption]
+    lines = edit((bundle / name).read_text().splitlines())
+    (bundle / name).write_text("".join(line + "\n" for line in lines))
+    assert main(["compare-cases", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: {bundle / name}: {says.format(column=column)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tail, says", [
+    pytest.param(b"6,\xff\n", "codec can't decode byte 0xff", id="not-text"),
+    pytest.param(b'"' + b"1" * 200_000 + b'",1\n',
+                 "field larger than field limit", id="oversized-field"),
+])
+def test_an_unparsable_market_csv_exits_config_naming_file(
+        tmp_path, capsys, tail, says):
+    cfg, bundle = flat_day_from_files(tmp_path)
+    with open(bundle / "rt_prices.csv", "ab") as fh:
+        fh.write(tail)
+    assert main(["compare-cases", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bundle / 'rt_prices.csv'}: ")
+    assert says in err

@@ -120,8 +120,12 @@ def test_decide_altering_needs_a_real_divergence():
     assert not decide_altering(0.05, 0.03, trigger=2.0)   # within band
     assert not decide_altering(0.03, 0.03, trigger=2.0)   # equal never fires
     assert not decide_altering(0.0, 0.0, trigger=2.0)
-    with pytest.raises(ConfigError):
-        decide_altering(0.1, 0.1, trigger=1.0)
+    # the trigger's range is run.trigger's, checked by the walk that calls it
+    state = ScheduleState(fleet=[], household_total=np.zeros(24),
+                          da_profile=np.zeros(24))
+    with pytest.raises(ConfigError,
+                       match=r"^run.trigger must be > 1, got 1.0$"):
+        real_time_walk(state, make_day(), CaseConfig(trigger=1.0))
 
 
 def test_cap_value_scales_mean_total_demand():

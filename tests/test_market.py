@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import FLAT_DAY_YAML
+from conftest import FLAT_DAY_YAML, save_market_day
 
-from fleetdr.errors import ConfigError, DataError
+from fleetdr.errors import ConfigError
 from fleetdr.fleet import N_SLOTS
 from fleetdr.market import (
     MarketDay,
@@ -16,12 +16,7 @@ from fleetdr.market import (
     PriceSeries,
     SpikeSpec,
     load_market_day,
-    load_prices,
-    load_profile_csv,
     procurement_cost,
-    save_market_day,
-    save_prices,
-    save_profile_csv,
     synth_prices,
     water_fill,
 )
@@ -199,48 +194,7 @@ def test_water_fill_conservation_property(hh, energy):
 
 
 # ---------------------------------------------------------------------------
-# CSV round trips
-
-def test_price_csv_round_trip(tmp_path):
-    _, rt = synth_prices(MarketSpec(spike=SpikeSpec(slot=10)), 12)
-    path = tmp_path / "rt_prices.csv"
-    save_prices(rt, path)
-    back = load_prices(path, kind="rt")
-    assert back.kind == "rt"
-    assert np.allclose(back.values, rt.values, atol=1e-9)
-
-
-def test_price_csv_errors(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("slot,price_per_mwh\n1,33.0\n")
-    with pytest.raises(DataError):
-        load_prices(path, kind="da")  # only one row, need 24
-    path.write_text("slot,price_per_mwh\n" +
-                    "\n".join(f"{s},33.0" for s in range(1, 25)) + "\n")
-    load_prices(path, kind="da")  # sanity: well-formed file loads
-    bad = path.read_text().replace("7,33.0", "7,abc")
-    path.write_text(bad)
-    with pytest.raises(DataError, match="row 8"):
-        load_prices(path, kind="da")
-    # the price and the profile file share one reader, which names the path
-    # and the row of an extra field, a non-finite or a negative value
-    for header, load in (("slot,price_per_mwh",
-                          lambda p: load_prices(p, kind="da")),
-                         ("slot,kwh", load_profile_csv)):
-        for row in ("7,1.0,999", "7,nan", "7,inf", "7,-1.0"):
-            rows = [f"{s},33.0" for s in range(1, 25)]
-            rows[6] = row
-            path.write_text("\n".join([header, *rows]) + "\n")
-            with pytest.raises(DataError, match=f"{path}: row 8"):
-                load(path)
-
-
-def test_profile_csv_round_trip(tmp_path):
-    prof = np.linspace(0.0, 40.0, N_SLOTS)
-    path = tmp_path / "profile.csv"
-    save_profile_csv(prof, path)
-    assert np.allclose(load_profile_csv(path), prof, atol=1e-6)
-
+# the market bundle: CSV errors are checked through the CLI in test_cli.py
 
 def test_market_day_bundle_round_trip(tmp_path):
     da, rt = synth_prices(MarketSpec(spike=SpikeSpec(slot=10)), 5)

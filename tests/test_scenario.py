@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import FLAT_DAY_YAML, REFERENCE_YAML, with_each_yaml_loader
+from conftest import (FLAT_DAY_YAML, REFERENCE_YAML, save_config,
+                      save_market_day, with_each_yaml_loader)
 
 from fleetdr.coordinator import CaseConfig, ConvergenceSpec
 from fleetdr.errors import ConfigError
 from fleetdr.fleet import (N_SLOTS, FleetSpec, HouseholdSpec, PevProfile,
                            _declared_ranges, baseline_household, sample_fleet)
-from fleetdr.market import MarketSpec, SpikeSpec, synth_prices, \
-    save_market_day
+from fleetdr.market import MarketSpec, SpikeSpec, synth_prices
 from fleetdr.scenario import (
     HOUSEHOLD_SEED_OFFSET,
     PRICE_SEED_OFFSET,
@@ -28,7 +28,6 @@ from fleetdr.scenario import (
     connection_counts,
     load_config,
     purchase_profile,
-    save_config,
 )
 
 
@@ -201,9 +200,9 @@ def test_config_requires_seed_and_market_choice():
 
 
 def test_config_rejects_bad_seed():
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
         config_from_dict(minimal_raw(seed=-1))
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ConfigError, match=r"^seed: expected int, got 'abc'$"):
         config_from_dict(minimal_raw(seed="abc"))
 
 
