@@ -208,15 +208,10 @@ def water_fill(household_agg, energy: float, mask=None) -> np.ndarray:
 # CSV ingest
 
 def _read_slot_csv(directory, name: str, header) -> np.ndarray:
-    """Read the 24-row CSV ``name`` in ``directory``, which starts with
-    ``header`` (``slot`` and one value column), into its values in slot
-    order.
-
-    Blank rows are skipped. Each of slots 1..24 must appear exactly once,
-    with a finite value >= 0. Raises DataError naming the path on any
-    fault, and the row too on a fault of one row; rows are numbered from 2,
-    after the header.
-    """
+    """Read the 24-row CSV ``name`` in ``directory`` into its values in
+    slot order. The file starts with ``header``, blank rows are skipped,
+    and each slot 1..24 appears once with a finite value >= 0; else
+    DataError names the path, and the row (numbered from 2) at fault."""
     path = os.path.join(directory, name)
     seen: dict[int, float] = {}
     try:

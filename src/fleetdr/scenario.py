@@ -73,7 +73,6 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        # config_from_dict has checked the seed's type
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         self.fleet.validate()
