@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, InfeasibleError
 from .fleet import write_fleet_csv
 from .report import emit, run_cases
 from .scenario import (FLEET_SEED_OFFSET, HOUSEHOLD_SEED_OFFSET,
-                       PRICE_SEED_OFFSET, Scenario, ScenarioConfig,
+                       PRICE_SEED_OFFSET, ScenarioConfig,
                        build_scenario, config_digest, load_config)
 
 EXIT_OK = 0

@@ -22,10 +22,12 @@ leaves after everyone else, which keeps the aggregate under the cap by
 construction.
 
 Each best response is one vehicle's LP, solved by the steps of
-:mod:`fleetdr.subproblem`: :func:`best_response_pass` keeps each vehicle's
-derived LP (:func:`~fleetdr.subproblem.vehicle_lp`) on the
-:class:`ScheduleState` until the walk freezes another slot, cuts its box to
-the cap's head-room, prices its free slots and calls
+:mod:`fleetdr.subproblem`. :func:`best_response_pass` keeps each vehicle's
+derived LP on the :class:`ScheduleState` until the walk freezes another
+slot. Before its first visit it derives every LP it will need that is
+missing or older than the frozen slots, all of them in one call of
+:func:`~fleetdr.subproblem.vehicle_lps`. Then, vehicle by vehicle, it cuts
+the box to the cap's head-room, prices the free slots and calls
 :func:`~fleetdr.subproblem.solve_vehicle`, which returns the plan or raises
 for an infeasible vehicle.
 
@@ -62,7 +64,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError
 from .fleet import N_SLOTS, PevProfile, as_profile, check_ranges
 from .market import MarketDay
-from .subproblem import Box, capped_box, solve_vehicle, t0_term, vehicle_lp
+from .subproblem import Box, capped_box, solve_vehicle, t0_term, vehicle_lps
 # unused here; perfbench/tracing.py wraps both (test_traced_name_resolves)
 from .subproblem import build_subproblem, solve  # noqa: F401
 
@@ -154,13 +156,6 @@ class ScheduleState:
     def aggregate(self) -> np.ndarray:
         return self.household_total + self.pev.sum(axis=0)
 
-    def history_for(self, idx: int) -> np.ndarray:
-        """User ``idx``'s plan on its window slots that are already real
-        (a view of ``pev``)."""
-        prof = self.fleet[idx]
-        done = max(0, self.realized_upto - prof.arrival_slot + 1)
-        return self.pev[idx, prof.window][:done]
-
 
 def _matrix_mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
@@ -219,9 +214,10 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
 
     The inputs are checked once per pass, not once per solve. Each
     vehicle's LP is derived once per ``realized_upto`` and kept on
-    ``state``; per solve the pass only cuts its box to the cap's head-room,
-    prices its free slots (against everyone's load, refreshed after each
-    write) and solves it, so it writes exactly the plans
+    ``state``, the pass's stale ones together before the first visit; per
+    solve the pass only cuts its box to the cap's head-room, prices its
+    free slots (against everyone's load, refreshed after each write) and
+    solves it, so it writes exactly the plans
     ``solve(build_subproblem(...))`` gives and raises the same errors. A
     vehicle whose box, price order and, after an exact solve, price ties
     repeat those of its last solve keeps its plan unsolved, and a solve
@@ -239,12 +235,15 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
     base = hh + agg_pev  # everyone's load; refreshed after each write
     caps = None if cap is None else np.full(N_SLOTS, cap, dtype=float)
     upto, vehicles = state.realized_upto, state._vehicles
+    stale = [idx for idx in users
+             if idx not in vehicles or vehicles[idx][0] != upto]
+    if stale:
+        lps = vehicle_lps([state.fleet[idx] for idx in stale], pev[stale],
+                          upto, state._boxes)
+        for idx, lp in zip(stale, lps):
+            vehicles[idx] = [upto, lp, None]
     for idx in users:
-        cached = vehicles.get(idx)
-        if cached is None or cached[0] != upto:
-            cached = vehicles[idx] = [upto, vehicle_lp(
-                state.fleet[idx], state.history_for(idx), state._boxes), None]
-        _, lp, last = cached
+        _, lp, last = cached = vehicles[idx]
         free = lp.free
         held = pev[idx, free]  # a view: the plan's free slots
         others = base[free] - held

@@ -26,7 +26,7 @@ from .fleet import (Dist, FleetSpec, HouseholdSpec, N_SLOTS, PevProfile,
                     _dist_from_config, _dist_to_dict, _finite_number,
                     _number, as_profile, baseline_household, check_ranges,
                     sample_fleet)
-from .market import MarketDay, MarketSpec, SpikeSpec, load_market_day, \
+from .market import MarketDay, MarketSpec, load_market_day, \
     synth_prices, water_fill
 
 # offsets applied to the scenario seed for each synthesis stage, so the
@@ -83,8 +83,8 @@ class ScenarioConfig:
         if self.market_files is not None:
             for name in ("da_prices.csv", "rt_prices.csv", "da_profile.csv"):
                 path = os.path.join(self.market_files, name)
-                if not os.path.exists(path):
-                    raise ConfigError(f"market.files: missing {path}")
+                if not os.path.isfile(path):  # a directory is no file
+                    raise ConfigError(f"market.files: missing file {path}")
         if self.market_synth is not None:
             self.market_synth.validate()
         self.purchase.validate()

@@ -12,8 +12,9 @@ past its capacity).
 Every solve, the coordinator's and the public one, runs the same three
 steps:
 
-* :func:`vehicle_lp` derives the part of the LP that stays fixed while the
-  vehicle's history does: free slots, energy target, band and rate box.
+* :func:`vehicle_lps` derives the part of the LP that stays fixed while the
+  vehicle's history does: free slots, energy target, band and rate box,
+  for a batch of vehicles in array steps.
 * :func:`capped_box` tightens the box to a demand cap's head-room on the
   free slots, or raises when the cap leaves the vehicle no way to meet its
   target.
@@ -40,7 +41,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .fleet import PevProfile, as_profile
+from .fleet import N_SLOTS, PevProfile, as_profile
 
 FEAS_TOL = 1e-7
 SOC_FLOOR_FRACTION = 0.2
@@ -113,34 +114,54 @@ class VehicleLp(NamedTuple):
     box: Box  # the rate box, before any cap
 
 
-def vehicle_lp(profile: PevProfile, history: np.ndarray,
-               boxes: Dict[tuple, Box] | None = None) -> VehicleLp:
-    """Derive ``profile``'s LP once its first ``len(history)`` window slots
-    are fixed to ``history``.
+def vehicle_lps(profiles: Sequence[PevProfile], plans: np.ndarray,
+                realized_upto: int, boxes: Dict[tuple, Box]
+                ) -> List[VehicleLp]:
+    """Derive the LP of each of ``profiles`` once day slots
+    1..``realized_upto`` of its row of ``plans`` (one (24,) row per
+    profile) are fixed.
 
-    ``boxes``, if given, caches rate boxes by (slot count, rate, V2G flag),
-    so vehicles that agree on all three share one; the solver never writes
+    ``boxes`` caches rate boxes by (slot count, rate, V2G flag), so
+    vehicles that agree on all three share one; the solver never writes
     to a box.
+
+    A vehicle's fixed energy is the sum of its realized window slots. The
+    rows with as many realized slots are summed as one contiguous block,
+    whose per-row sums numpy takes pairwise, just as it sums one row's
+    slots alone, so every field has the bits a one-vehicle derivation
+    gives.
     """
-    if len(history) > profile.window_length():
-        raise ConfigError(f"user {profile.user_id}: history longer than window")
-    # the sum of no history is +0.0; skip numpy's reduction for it
-    delivered = float(history.sum()) if len(history) else 0.0
-    soc_start = profile.initial_soc + delivered
-    first = profile.arrival_slot + len(history)  # first free day slot
-    k = profile.departure_slot - first + 1
-    key = (k, profile.rate, profile.v2g)
-    box = None if boxes is None else boxes.get(key)
-    if box is None:
-        # float boxes, also for an int rate: one past int64 would overflow
-        box = _box(np.full(k, -profile.rate if profile.v2g else 0.0, float),
-                   np.full(k, profile.rate, float))
-        if boxes is not None:
-            boxes[key] = box
-    return VehicleLp(profile.user_id, slice(first - 1, profile.departure_slot),
-                     profile.required_energy - delivered,
-                     SOC_FLOOR_FRACTION * profile.capacity - soc_start,
-                     profile.capacity - soc_start, profile.rate * k, box)
+    arrival = np.array([p.arrival_slot for p in profiles], dtype=np.intp)
+    departure = np.array([p.departure_slot for p in profiles], dtype=np.intp)
+    # the realized window slots of each vehicle
+    done = np.clip(realized_upto + 1 - arrival, 0, departure + 1 - arrival)
+    delivered = np.zeros(len(profiles))  # no history sums to +0.0
+    for d in set(done.tolist()) - {0}:
+        rows = np.flatnonzero(done == d)
+        block = plans[rows[:, None], arrival[rows, None] - 1 + np.arange(d)]
+        delivered[rows] = block.sum(axis=1)
+    soc_start = np.array([p.initial_soc for p in profiles], float) + delivered
+    capacity = np.array([p.capacity for p in profiles], float)
+    owed = np.array([p.required_energy for p in profiles], float) - delivered
+    lps = []
+    for prof, start, target, floor, ceiling in zip(
+            profiles, (arrival - 1 + done).tolist(), owed.tolist(),
+            (SOC_FLOOR_FRACTION * capacity - soc_start).tolist(),
+            (capacity - soc_start).tolist()):
+        stop = prof.departure_slot  # the free slots are start:stop
+        k = stop - start
+        key = (k, prof.rate, prof.v2g)
+        box = boxes.get(key)
+        if box is None:
+            # float boxes, also for an int rate: one past int64 would overflow
+            box = boxes[key] = _box(
+                np.full(k, -prof.rate if prof.v2g else 0.0, float),
+                np.full(k, prof.rate, float))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        lps.append(tuple.__new__(VehicleLp, (
+            prof.user_id, slice(start, stop), target, floor, ceiling,
+            prof.rate * k, box)))
+    return lps
 
 
 def capped_box(lp: VehicleLp, room: np.ndarray) -> Box:
@@ -211,7 +232,13 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
     signal = as_profile(signal)
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
-    lp = vehicle_lp(profile, np.asarray(history, dtype=float))
+    history = np.asarray(history, dtype=float)
+    if len(history) > profile.window_length():
+        raise ConfigError(f"user {profile.user_id}: history longer than window")
+    plan = np.zeros((1, N_SLOTS))
+    plan[0, profile.window][:len(history)] = history
+    lp, = vehicle_lps([profile], plan,
+                      profile.arrival_slot - 1 + len(history), {})
     box = (lp.box if slot_cap is None
            else capped_box(lp, as_profile(slot_cap)[lp.free]))
     coeff = lam * signal[lp.free]

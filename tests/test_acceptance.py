@@ -11,7 +11,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from conftest import REFERENCE_YAML, audit_plan, check_feasible
 from oracles import brute_force_oracle

@@ -7,7 +7,6 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -475,6 +474,22 @@ def test_a_market_bundle_runs_compare_cases(tmp_path):
     path.write_text(path.read_text().replace("\n", "\n\n"))
     assert main(["compare-cases", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("replace", [
+    pytest.param(os.remove, id="missing"),
+    pytest.param(lambda path: (os.remove(path), os.mkdir(path)),
+                 id="a-directory"),
+])
+def test_a_market_file_that_is_no_file_exits_config_naming_it(
+        tmp_path, capsys, replace):
+    cfg, bundle = flat_day_from_files(tmp_path)
+    replace(bundle / "da_profile.csv")
+    assert main(["compare-cases", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: {cfg}: market.files: missing file {bundle / 'da_profile.csv'}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("corruption", CSV_CORRUPTIONS)

@@ -101,14 +101,18 @@ def test_state_rejects_wrapped_windows():
                       da_profile=np.zeros(24))
 
 
-def test_history_for_respects_realized_boundary():
+def test_pass_lp_reads_only_the_realized_history():
     state = ScheduleState(fleet=[make_profile(arrival_slot=2,
                                               departure_slot=6)],
                           household_total=np.zeros(24),
                           da_profile=np.zeros(24))
     state.pev[0, 1:6] = [0.5, 0.6, 0.7, 0.8, 0.9]
     state.realized_upto = 4
-    assert state.history_for(0).tolist() == [0.5, 0.6, 0.7]
+    best_response_pass(state)
+    _, lp, _ = state._vehicles[0]
+    assert lp.free == slice(4, 6)
+    assert lp.target == 3.6 - (0.5 + 0.6 + 0.7)
+    assert lp.max_prefix == 24.0 - (12.0 + (0.5 + 0.6 + 0.7))
 
 
 # ---------------------------------------------------------------------------

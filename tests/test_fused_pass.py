@@ -13,6 +13,7 @@ import copy
 import numpy as np
 import pytest
 
+from conftest import realized_history
 from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
@@ -36,7 +37,7 @@ def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
         room = None if cap is None else cap - others
         sub = build_subproblem(
             state.fleet[idx], signal, lam=lam,
-            history=state.history_for(idx), t0_sign=t0_sign,
+            history=realized_history(state, idx), t0_sign=t0_sign,
             t0_term_scale=t0_term_scale, slot_cap=room)
         x = solve(sub).x
         end = state.fleet[idx].departure_slot

@@ -19,7 +19,6 @@ from fleetdr.market import (
     CostBreakdown,
     MarketDay,
     MarketSpec,
-    PriceSeries,
     SpikeSpec,
     procurement_cost,
     synth_prices,

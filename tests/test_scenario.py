@@ -13,7 +13,7 @@ from conftest import (FLAT_DAY_YAML, REFERENCE_YAML, save_config,
 from fleetdr.coordinator import CaseConfig, ConvergenceSpec
 from fleetdr.errors import ConfigError
 from fleetdr.fleet import (N_SLOTS, FleetSpec, HouseholdSpec, PevProfile,
-                           _declared_ranges, baseline_household, sample_fleet)
+                           _declared_ranges, baseline_household)
 from fleetdr.market import MarketSpec, SpikeSpec, synth_prices
 from fleetdr.scenario import (
     HOUSEHOLD_SEED_OFFSET,
