@@ -65,15 +65,6 @@ def audit_plan(prof, x, who, tol=1e-6):
         f"{who}: battery above capacity"
 
 
-def realized_history(state, idx):
-    """Fleet row ``idx``'s plan on its window slots that ``state`` has
-    already frozen, the history ``build_subproblem`` takes (a view of
-    ``state.pev``)."""
-    prof = state.fleet[idx]
-    done = max(0, state.realized_upto - prof.arrival_slot + 1)
-    return state.pev[idx, prof.window][:done]
-
-
 def check_feasible(sub, x, tol=FEAS_TOL):
     """List every constraint the candidate plan ``x`` of the
     ``UserSubproblem`` ``sub`` violates (empty = fine)."""

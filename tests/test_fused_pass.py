@@ -13,7 +13,6 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import realized_history
 from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
@@ -23,6 +22,14 @@ from fleetdr.errors import ConfigError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
 from fleetdr.subproblem import build_subproblem, solve
+
+
+def realized_history(state, idx):
+    """Fleet row ``idx``'s plan on its window slots that ``state`` has
+    already frozen (a view of ``state.pev``)."""
+    prof = state.fleet[idx]
+    done = max(0, state.realized_upto - prof.arrival_slot + 1)
+    return state.pev[idx, prof.window][:done]
 
 
 def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
