@@ -31,14 +31,20 @@ the box to the cap's head-room, prices the free slots and calls
 :func:`~fleetdr.subproblem.solve_vehicle`, which returns the plan or raises
 for an infeasible vehicle.
 
-A pass prices only the free slots. It holds everyone's load (households
-plus the fleet's aggregate) for the whole pass and adds it up again only
-after a plan write, with the same expression, so every visit reads the
-bits a fresh sum would give. A visit takes the vehicle's held plan on its
-free slots once: everyone else's load there is the load less the held
-plan, its prices are that less the purchase, and the cap's head-room is
-the cap less it. The pass reads the purchase afresh and keeps nothing
-from one pass to the next that a caller can change between them.
+A pass prices only the free slots. It refills everyone's load (households
+plus the fleet's aggregate) in place at its start, and again only after a
+plan write, with the same expression, so every visit reads the bits a
+fresh sum would give. A visit slices nothing and allocates no array for a
+result. The state keeps, per free window, views of the load, the purchase
+and the aggregate on its slots beside three scratch arrays, and per
+vehicle a view of its plan there; the visit writes each step into them
+with numpy's ``out``. Everyone else's load is the load less the held plan,
+the prices are that less the purchase, and the cap's head-room is the
+scalar cap less it; a write adds the plan's step to the aggregate's view.
+These are the operations, in the order, of the sliced expressions, so
+they give the same bits. The views outlive the pass: one that finds
+``pev`` or ``da_profile`` replaced cuts them afresh, keeping every LP and
+solve record, and each pass reads ``household_total`` anew.
 
 Beside the LP the pass keeps what the vehicle's last solve saw: the capped
 box's upper bounds, the stable argsort of its prices and, when that solve
@@ -109,6 +115,15 @@ class ScheduleState:
     Passes cache each vehicle's LP, derived from the frozen slots of
     ``pev``, and what its last solve saw, until ``realized_upto`` moves,
     so change plans only through passes, or start a new state.
+
+    They also keep the fleet's aggregate and everyone's load as two (24,)
+    arrays, refilled in place at each pass start, and views into them, into
+    ``pev`` and into ``da_profile``: each vehicle's plan on its free slots,
+    and per free window the load, purchase and aggregate there beside three
+    scratch arrays that every vehicle with that window shares. A pass that
+    finds ``pev`` or ``da_profile`` replaced cuts the views afresh; it reads
+    ``household_total`` anew each time. A copy of the state starts without
+    these caches.
     """
 
     fleet: List[PevProfile]
@@ -116,12 +131,24 @@ class ScheduleState:
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
-    # each fleet row's [realized_upto, derived LP, last solve's inputs],
-    # and the rate boxes those LPs share
+    # each fleet row's [realized_upto, derived LP, plan view on its free
+    # slots, its window's arrays, last solve's inputs], and the rate boxes
+    # those LPs share
     _vehicles: Dict[int, list] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _boxes: Dict[tuple, Box] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # per free window (start, stop): [load, purchase, aggregate views,
+    # others, coeff, spare scratch]
+    _windows: Dict[tuple, list] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _agg: np.ndarray = field(default_factory=lambda: np.zeros(N_SLOTS),
+                             init=False, repr=False, compare=False)
+    _load: np.ndarray = field(default_factory=lambda: np.zeros(N_SLOTS),
+                              init=False, repr=False, compare=False)
+    # the pev and da_profile the views were cut from
+    _aimed: tuple = field(default=(None, None), init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.household_total = as_profile(self.household_total)
@@ -151,6 +178,11 @@ class ScheduleState:
                 raise ConfigError(
                     f"user {self.fleet[idx].user_id}: plan has load "
                     "outside its charging window")
+
+    def __getstate__(self):
+        # a copy's views would not see its own arrays
+        return {**self.__dict__, "_vehicles": {}, "_windows": {},
+                "_aimed": (None, None)}
 
     @property
     def aggregate(self) -> np.ndarray:
@@ -231,27 +263,42 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         users = range(len(state.fleet))
     t0 = t0_term(lam, t0_sign, t0_term_scale)
     pev, hh, da = state.pev, state.household_total, state.da_profile
-    agg_pev = as_profile(pev.sum(axis=0))
-    base = hh + agg_pev  # everyone's load; refreshed after each write
-    caps = None if cap is None else np.full(N_SLOTS, cap, dtype=float)
-    upto, vehicles = state.realized_upto, state._vehicles
+    agg, load = state._agg, state._load  # refilled in place
+    as_profile(np.sum(pev, axis=0, out=agg))
+    np.add(hh, agg, load)  # everyone's load; refreshed after each write
+    upto, vehicles, windows = (state.realized_upto, state._vehicles,
+                               state._windows)
+    if state._aimed[0] is not pev:  # the caller swapped in new plans
+        for idx, cached in vehicles.items():
+            cached[2] = pev[idx, cached[1].free]
+    if state._aimed[1] is not da:  # ... or a new purchase
+        for (start, stop), window in windows.items():
+            window[1] = da[start:stop]
+    state._aimed = pev, da
     stale = [idx for idx in users
              if idx not in vehicles or vehicles[idx][0] != upto]
     if stale:
         lps = vehicle_lps([state.fleet[idx] for idx in stale], pev[stale],
                           upto, state._boxes)
         for idx, lp in zip(stale, lps):
-            vehicles[idx] = [upto, lp, None]
+            free = lp.free
+            window = windows.get((free.start, free.stop))
+            if window is None:
+                window = windows[free.start, free.stop] = [
+                    load[free], da[free], agg[free],
+                    *np.empty((3, free.stop - free.start))]
+            vehicles[idx] = [upto, lp, pev[idx, free], window, None]
+    subtract, add = np.subtract, np.add
     for idx in users:
-        _, lp, last = cached = vehicles[idx]
-        free = lp.free
-        held = pev[idx, free]  # a view: the plan's free slots
-        others = base[free] - held
-        coeff = others - da[free]
+        _, lp, held, window, last = cached = vehicles[idx]
+        load_w, da_w, agg_w, others, coeff, spare = window
+        subtract(load_w, held, others)
+        subtract(others, da_w, coeff)
         if cap is None:
             box, up = lp.box, None
         else:
-            box = capped_box(lp, caps[free] - others)
+            subtract(cap, others, spare)  # the cap's head-room
+            box = capped_box(lp, spare)
             up = box.up.tobytes()
         if lam != 1.0:  # shaping passes skip an exact multiply by 1
             coeff *= lam
@@ -263,12 +310,13 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
                 and (last[2] is None or last[2] == _ties(coeff, order))):
             continue  # the solve would return the plan's own bits
         x, method = solve_vehicle(lp, box, coeff, order)
-        cached[2] = (ranks, up,
+        cached[4] = (ranks, up,
                      _ties(coeff, order) if method == "exact" else None)
         if x.tobytes() != held.tobytes():  # else the update adds +0.0
-            agg_pev[free] += x - held
+            subtract(x, held, spare)  # the step, into spent scratch
+            add(agg_w, spare, agg_w)
             held[:] = x
-            np.add(hh, agg_pev, out=base)
+            add(hh, agg, load)
 
 
 def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec,

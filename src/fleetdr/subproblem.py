@@ -352,9 +352,8 @@ def _prefix_band_fill(lo: List[float], up: List[float], coeff: List[float],
             prev = cheap_end
         if tie_end < prev:
             prev = tie_end
-        # prev = min(max(best, start, s - up[i]), end, s - lo[i])
-        if start > prev:
-            prev = start
+        # prev = min(max(best, s - up[i]), end, s - lo[i]), where
+        # best >= cheap_end >= start, as every piece's length is positive
         bound = s - up[i]
         if bound > prev:
             prev = bound

@@ -372,6 +372,20 @@ def test_an_empty_fleet_exits_config_naming_n_users(tmp_path, capsys):
     assert "coverage" not in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("fleet.arrival", 3,
+     "fleet.arrival: expected a distribution mapping with a 'family' key"),
+    ("households", [1], "households: expected a mapping, got list"),
+])
+def test_a_value_of_the_wrong_shape_exits_config_naming_its_key(
+        tmp_path, capsys, key, value, message):
+    cfg = reference_day_with(tmp_path, key, value)
+    code = main(["compare-cases", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def flat_day_with_fleet(tmp_path, **fleet):
     with open(FLAT_DAY_YAML) as fh:
         raw = yaml.safe_load(fh)

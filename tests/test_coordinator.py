@@ -109,10 +109,11 @@ def test_pass_lp_reads_only_the_realized_history():
     state.pev[0, 1:6] = [0.5, 0.6, 0.7, 0.8, 0.9]
     state.realized_upto = 4
     best_response_pass(state)
-    _, lp, _ = state._vehicles[0]
+    _, lp, held, _, _ = state._vehicles[0]
     assert lp.free == slice(4, 6)
     assert lp.target == 3.6 - (0.5 + 0.6 + 0.7)
     assert lp.max_prefix == 24.0 - (12.0 + (0.5 + 0.6 + 0.7))
+    assert np.shares_memory(held, state.pev[0, 4:6]) and held.size == 2
 
 
 # ---------------------------------------------------------------------------

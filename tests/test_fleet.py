@@ -496,6 +496,11 @@ def test_baseline_household_mean_total_near_target():
     assert prof.sum(axis=1).mean() == pytest.approx(17.0, rel=0.03)
 
 
+def test_baseline_household_rejects_a_negative_user_count():
+    with pytest.raises(ConfigError, match="n_users must be >= 0, got -1"):
+        baseline_household(HouseholdSpec(), -1, 0)
+
+
 def test_baseline_household_zero_demand():
     prof = baseline_household(HouseholdSpec(mean_daily_kwh=0.0), 3, 0)
     assert np.all(prof == 0.0)

@@ -5,10 +5,12 @@ vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` derives
 each vehicle's LP once per frozen history and calls ``solve_vehicle`` on
 it, unless the vehicle's box, price order and price ties repeat its last
 solve; it must write the same plans, bit for bit, on every pass of a day,
-and fail the same way on bad input.
+also after a caller puts new arrays on the state, and fail the same way on
+bad input.
 """
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
-from fleetdr.coordinator import ScheduleState, best_response_pass
+from fleetdr.coordinator import (ScheduleState, best_response_pass,
+                                 cap_value, connected_users)
 from fleetdr.errors import ConfigError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
@@ -106,6 +109,35 @@ def test_half_v2g_day_passes_match_bit_for_bit(checked_passes):
     assert solves < checked_passes["visits"]
 
 
+def test_passes_after_a_caller_swaps_arrays_match_bit_for_bit(
+        checked_passes):
+    """A pass keeps views into the plans and the purchase from one pass to
+    the next; a new array in their place must be read, not the old one."""
+    cfg = half_v2g_config(200)
+    sc = build_scenario(cfg)
+    cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
+    # many vehicles share each free window, and with it its arrays
+    windows = Counter((p.arrival_slot, p.departure_slot) for p in sc.fleet)
+    assert windows.most_common(1)[0][1] > 50
+    state = ScheduleState(fleet=list(sc.fleet),
+                          household_total=sc.household_total,
+                          da_profile=sc.market.da_profile)
+    coordinator.best_response_pass(state, cap=cap)
+    state.pev = state.pev.copy()
+    coordinator.best_response_pass(state, cap=cap)
+    state.da_profile = np.roll(sc.market.da_profile, 1)
+    coordinator.best_response_pass(state, cap=cap)
+    state.household_total = 0.9 * sc.household_total
+    coordinator.best_response_pass(state, cap=cap)
+    state.realized_upto = 9
+    state.pev = state.pev.copy()
+    coordinator.best_response_pass(state, lam=0.5, t0_sign=1, cap=cap,
+                                   users=connected_users(state, 10))
+    # the cap binds: some slot's aggregate sits at it
+    assert np.isclose(state.aggregate, cap).any()
+    assert checked_passes["exact"] > 0
+
+
 # ---------------------------------------------------------------------------
 # the skip: a vehicle is solved again whenever a repeat could move its plan
 
@@ -177,6 +209,18 @@ def test_a_solve_that_returns_the_held_plan_writes_nothing(monkeypatch):
     assert [method for _, method in solves] == ["greedy", "greedy"]
     assert solves[0][0].tobytes() == solves[1][0].tobytes()
     assert state.pev.tobytes() == plan
+
+
+def test_a_copied_state_passes_on_its_own_arrays(checked_passes):
+    state = one_vehicle_state(required_energy=1.8, capacity=6.0,
+                              initial_soc=4.0, v2g=True)
+    priced(state, np.array(TIED[0]))
+    coordinator.best_response_pass(state)
+    twin = copy.deepcopy(state)
+    priced(twin, np.array(UNTIED[0]))
+    coordinator.best_response_pass(twin)
+    assert twin.pev[0, :3] == pytest.approx(UNTIED[1])
+    assert state.pev[0, :3] == pytest.approx(TIED[1])
 
 
 # ---------------------------------------------------------------------------

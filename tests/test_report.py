@@ -518,6 +518,17 @@ def test_emit_day_result(tmp_path):
     assert summary["peak_kwh"] == pytest.approx(12.0)
 
 
+def test_emit_rejects_a_day_with_no_vehicles(tmp_path):
+    day = DayResult(pev=np.zeros((0, N_SLOTS)),
+                    aggregate=np.full(N_SLOTS, 12.0),
+                    da_aggregate=np.full(N_SLOTS, 12.0),
+                    da_mse_trace=[1e-8], altered_slots=[], converged=True)
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match="empty day result: no vehicles"):
+        emit(day, out)
+    assert not out.exists()
+
+
 def test_emitted_costs_match_recomputation_from_files(tmp_path):
     # the numbers on disk must stand on their own: prices times the emitted
     # profiles reproduce the reported cost of every case

@@ -186,11 +186,15 @@ def test_a_pass_derives_only_the_stale_lps(reference_scenario, derived):
     before = {idx: (entry, *entry) for idx, entry in state._vehicles.items()}
     best_response_pass(state, lam=0.5, t0_sign=1, users=users)
     assert derived[1:] == [users]
-    for idx, (entry, upto, lp, last) in before.items():
+    for idx, (entry, upto, lp, held, window, last) in before.items():
         now = state._vehicles[idx]
         if idx in users:
             assert now[0] == 9 and now[1] is not lp
+            free = now[1].free  # the plan view follows the new LP
+            assert now[2].size == free.stop - free.start
+            assert np.shares_memory(now[2], state.pev[idx, free])
         else:
             assert now is entry
-            assert (now[0], now[1], now[2]) == (upto, lp, last)
-            assert now[1] is lp and now[2] is last
+            assert (now[0], now[1], now[4]) == (upto, lp, last)
+            assert now[1] is lp and now[4] is last
+            assert now[2] is held and now[3] is window
