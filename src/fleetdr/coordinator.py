@@ -116,14 +116,11 @@ class ScheduleState:
     ``pev``, and what its last solve saw, until ``realized_upto`` moves,
     so change plans only through passes, or start a new state.
 
-    They also keep the fleet's aggregate and everyone's load as two (24,)
-    arrays, refilled in place at each pass start, and views into them, into
-    ``pev`` and into ``da_profile``: each vehicle's plan on its free slots,
-    and per free window the load, purchase and aggregate there beside three
-    scratch arrays that every vehicle with that window shares. A pass that
-    finds ``pev`` or ``da_profile`` replaced cuts the views afresh; it reads
-    ``household_total`` anew each time. A copy of the state starts without
-    these caches.
+    Passes also keep the fleet's aggregate and everyone's load in two
+    (24,) arrays, refilled at each pass start, and views into them, ``pev``
+    and ``da_profile``. A pass cuts the views afresh when it finds ``pev``
+    or ``da_profile`` replaced, and a copy of the state starts without
+    them.
     """
 
     fleet: List[PevProfile]
