@@ -6,16 +6,16 @@ purchase valleys -- watch the mean-squared plan change collapse.
 
 Phase 2 (real time): the day replays slot by slot. The 21:00 price comes
 in at ten times day-ahead, the trigger fires, and the plugged-in vehicles
-replan their remaining hours away from the spike. We run the same day
-twice -- once ignoring the divergence, once replanning -- and compare the
-spike-hour aggregate.
+replan their remaining hours away from the spike. We walk the day twice
+from the same shaped plans -- once ignoring the divergence, once
+replanning -- and compare the spike-hour aggregate.
 
 Finally every vehicle's schedule is audited against its physical limits.
 """
 
 import numpy as np
 
-from fleetdr.coordinator import CaseConfig, simulate_day
+from fleetdr.coordinator import CaseConfig, shape_fleet, simulate_day
 from fleetdr.fleet import (Dist, FleetSpec, HouseholdSpec, baseline_household,
                            sample_fleet)
 from fleetdr.market import MarketDay, MarketSpec, SpikeSpec, synth_prices
@@ -86,7 +86,8 @@ def main():
           f"load, purchase {market.da_profile.sum():.0f} kWh")
     case = CaseConfig(t0_term_scale=1000.0)
 
-    passive = simulate_day(fleet, homes, market, case, altering=False)
+    shaped = shape_fleet(fleet, homes, market.da_profile, case.conv)
+    passive = simulate_day(fleet, homes, market, case, shaped, altering=False)
     print("\nphase 1: day-ahead shaping")
     print("  mean-squared plan change per sweep:",
           "  ".join(f"{m:.3g}" for m in passive.da_mse_trace))
@@ -96,7 +97,7 @@ def main():
 
     chart("shaped demand", passive.da_aggregate, 6.0, mark={SPIKE_SLOT})
 
-    active = simulate_day(fleet, homes, market, case)
+    active = simulate_day(fleet, homes, market, case, shaped)
     print("\nphase 2: real-time walk")
     rt_ratio = market.rt_prices[SPIKE_SLOT] / market.da_prices[SPIKE_SLOT]
     print(f"  21:00 real-time price is {rt_ratio:.1f}x day-ahead "

@@ -10,7 +10,8 @@ from .market import (CostBreakdown, MarketDay, MarketSpec, PriceSeries,
                      synth_prices, water_fill)
 from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
                           ShapedPlans, cap_value, decide_altering,
-                          real_time_walk, shape_day_ahead, simulate_day)
+                          real_time_walk, shape_day_ahead, shape_fleet,
+                          simulate_day)
 from .subproblem import (SubproblemSolution, UserSubproblem,
                          build_subproblem, solve)
 from .report import CaseComparison, CaseConfig, CaseResult, emit, run_cases

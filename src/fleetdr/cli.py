@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .coordinator import cap_value, simulate_day
+from .coordinator import cap_value, shape_fleet, simulate_day
 from .errors import ConfigError, DataError, InfeasibleError
 from .fleet import write_fleet_csv
 from .report import emit, run_cases
@@ -76,8 +76,10 @@ def cmd_simulate(cfg: ScenarioConfig, out: str | None = None,
     _refuse_existing(os.path.join(out_dir, "summary.json"), force)
     scenario = build_scenario(cfg)
     cap = cap_value(scenario.household_total, scenario.fleet, cfg.case.kappa)
+    shaped = shape_fleet(scenario.fleet, scenario.household_total,
+                         scenario.market.da_profile, cfg.case.conv, cap=cap)
     day = simulate_day(scenario.fleet, scenario.household_total,
-                       scenario.market, cfg.case, cap=cap)
+                       scenario.market, cfg.case, shaped)
     emit(day, out_dir, meta=_meta(cfg))
     peak = float(day.aggregate.max())
     print(f"shaping sweeps: {day.da_sweeps}")

@@ -154,6 +154,9 @@ class ScheduleState:
         if not given:
             self.pev = np.zeros((len(self.fleet), N_SLOTS))
         self.pev = np.asarray(self.pev, dtype=float)
+        if not self.pev.flags.writeable:  # ShapedPlans.pev, say
+            raise ConfigError("pev matrix is read-only, and passes write "
+                              "plans into it: pass a copy")
         if self.pev.shape != (len(self.fleet), N_SLOTS):
             raise ConfigError(
                 f"pev matrix shape {self.pev.shape} does not match "
@@ -374,8 +377,7 @@ class DayResult:
 
     ``converged`` says whether day-ahead shaping settled (its last sweep
     moved plans by less than ``mse_tol``) rather than running out of
-    sweeps; ``shaped`` holds the plans it settled on, for a later case
-    under the same cap.
+    sweeps.
     """
 
     pev: np.ndarray
@@ -384,7 +386,6 @@ class DayResult:
     da_mse_trace: List[float]
     altered_slots: List[int]
     converged: bool
-    shaped: ShapedPlans | None = None
 
     @property
     def da_sweeps(self) -> int:
@@ -392,8 +393,7 @@ class DayResult:
 
 
 def real_time_walk(state: ScheduleState, market: MarketDay, case: CaseConfig,
-                   *, altering: bool = True,
-                   cap: float | None = None) -> List[int]:
+                   *, cap: float | None = None) -> List[int]:
     """Replay the day slot by slot, replanning on price divergence.
 
     Returns the slots at which replanning fired. ``state`` ends with the
@@ -405,7 +405,7 @@ def real_time_walk(state: ScheduleState, market: MarketDay, case: CaseConfig,
         state.realized_upto = t - 1
         rt = market.rt_prices[t]
         da = market.da_prices[t]
-        if altering and decide_altering(rt, da, case.trigger):
+        if decide_altering(rt, da, case.trigger):
             users = connected_users(state, t)
             if users:
                 altered.append(t)
@@ -434,28 +434,22 @@ def shape_fleet(fleet: Sequence[PevProfile], household_total,
 
 
 def simulate_day(fleet: Sequence[PevProfile], household_total,
-                 market: MarketDay, case: CaseConfig, *,
-                 altering: bool = True, cap: float | None = None,
-                 shaped: ShapedPlans | None = None) -> DayResult:
-    """Full pipeline for one coordination case: shape day-ahead, then walk
-    the day in real time from a copy of the shaped plans.
+                 market: MarketDay, case: CaseConfig, shaped: ShapedPlans,
+                 *, altering: bool = True) -> DayResult:
+    """One coordination case's day: walk it in real time from a copy of
+    the plans :func:`shape_fleet` shaped, under their cap.
 
-    ``cap`` comes from :func:`cap_value`. ``shaped`` skips the shaping. It
-    must come from :func:`shape_fleet`, or be the ``DayResult.shaped`` of an
-    earlier call, on the same fleet, households, purchase and ``case.conv``,
-    under the same ``cap``. ``case`` is checked before any shaping.
+    ``shaped`` must come from :func:`shape_fleet` on the same fleet,
+    households, purchase and ``case.conv``. Without ``altering`` no slot
+    replans, so the day keeps the shaped plans and no walk runs. ``case``
+    is checked first.
     """
     case.validate()
-    if shaped is None:
-        shaped = shape_fleet(fleet, household_total, market.da_profile,
-                             case.conv, cap=cap)
-    elif shaped.cap != cap:
-        raise ConfigError(f"plans shaped under cap {shaped.cap} cannot "
-                          f"start a day under cap {cap}")
+    cap = shaped.cap
     state = ScheduleState(fleet=list(fleet), household_total=household_total,
                           da_profile=market.da_profile, pev=shaped.pev.copy())
     da_agg = state.aggregate
-    altered = real_time_walk(state, market, case, altering=altering, cap=cap)
+    altered = real_time_walk(state, market, case, cap=cap) if altering else []
     agg = state.aggregate
     if cap is not None and np.any(agg > cap + 1e-6):
         worst = int(np.argmax(agg)) + 1
@@ -465,4 +459,4 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
     trace = list(shaped.mse_trace)
     return DayResult(pev=state.pev, aggregate=agg, da_aggregate=da_agg,
                      da_mse_trace=trace, altered_slots=altered,
-                     converged=trace[-1] < case.conv.mse_tol, shaped=shaped)
+                     converged=trace[-1] < case.conv.mse_tol)

@@ -18,8 +18,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .coordinator import (CaseConfig, DayResult, ShapedPlans, cap_value,
-                          shape_fleet, simulate_day)
+from .coordinator import (CaseConfig, DayResult, cap_value, shape_fleet,
+                          simulate_day)
 from .errors import DataError
 from .fleet import (N_SLOTS, PevProfile, as_profile, uncoordinated_profile,
                     write_csv, write_slot_csv)
@@ -166,9 +166,9 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     Shaping runs once per distinct cap: cases 2 and 3 (and case 4 when
     ``kappa`` is None) walk from copies of the same shaped plans. When
     ``kappa`` is set, a forked worker shapes under the cap while this
-    process runs cases 2 and 3; case 4 then walks from the worker's plans,
-    or raises the worker's exception. Each case's ``simulate_day`` call
-    stays in this process, in case order.
+    process shapes without it and runs cases 2 and 3; case 4 then walks
+    from the worker's plans, or raises the worker's exception. Each case's
+    ``simulate_day`` call stays in this process, in case order.
     """
     config = config if config is not None else CaseConfig()
     config.validate()
@@ -179,24 +179,24 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     results = [CaseResult(1, CASE_LABELS[1], _priced(market, zero, dumb),
                           dumb, zero, [], [])]
 
+    def walk(case, shaped, altering=True):
+        day = simulate_day(fleet, hh, market, config, shaped,
+                           altering=altering)
+        results.append(CaseResult(
+            case, CASE_LABELS[case],
+            _priced(market, day.da_aggregate, day.aggregate),
+            day.aggregate, day.da_aggregate, list(day.da_mse_trace),
+            list(day.altered_slots), day.converged))
+
     cap = cap_value(hh, fleet, config.kappa)
-    runs = [(2, False, None), (3, True, None), (4, True, cap)]
-    shaped: Dict[float | None, ShapedPlans] = {}  # by cap
     with (_forked(shape_fleet, fleet, hh, market.da_profile, config.conv,
                   cap=cap) if cap is not None else nullcontext()) as capped:
-        for case, altering, case_cap in runs:
-            if case_cap is not None:  # case 4 only
-                shaped[case_cap] = capped()
-                shaped[case_cap].pev.setflags(write=False)
-            day = simulate_day(fleet, hh, market, config, altering=altering,
-                               cap=case_cap, shaped=shaped.get(case_cap))
-            shaped.setdefault(case_cap, day.shaped)
-            results.append(CaseResult(
-                case, CASE_LABELS[case],
-                _priced(market, day.da_aggregate, day.aggregate),
-                day.aggregate, day.da_aggregate,
-                list(day.da_mse_trace), list(day.altered_slots),
-                day.converged))
+        uncapped = shape_fleet(fleet, hh, market.da_profile, config.conv)
+        walk(2, uncapped, altering=False)
+        walk(3, uncapped)
+        shaped = uncapped if capped is None else capped()
+        shaped.pev.setflags(write=False)  # the worker's come back writable
+        walk(4, shaped)
 
     deltas = {}
     for i, a in enumerate(results):

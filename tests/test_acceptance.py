@@ -16,7 +16,8 @@ from conftest import REFERENCE_YAML, audit_plan, check_feasible
 from oracles import brute_force_oracle
 
 from fleetdr.cli import cmd_compare_cases
-from fleetdr.coordinator import ScheduleState, cap_value, shape_day_ahead, simulate_day
+from fleetdr.coordinator import (ScheduleState, cap_value, shape_day_ahead,
+                                 shape_fleet, simulate_day)
 from fleetdr.errors import InfeasibleError
 from fleetdr.fleet import N_SLOTS, uncoordinated_profile
 from fleetdr.market import MarketDay, procurement_cost
@@ -103,8 +104,10 @@ def test_criterion_2_full_fleet_schedules_obey_constraints(reference_config,
     sc = reference_scenario
     cfg = reference_config
     cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
+    shaped = shape_fleet(sc.fleet, sc.household_total, sc.market.da_profile,
+                         cfg.case.conv, cap=cap)
     day = simulate_day(sc.fleet, sc.household_total, sc.market, cfg.case,
-                       cap=cap)
+                       shaped)
     assert day.pev.shape == (1000, N_SLOTS)
     for prof, x in zip(sc.fleet, day.pev):
         audit_plan(prof, x, f"user {prof.user_id}", FEAS_TOL_KWH)

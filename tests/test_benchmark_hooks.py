@@ -60,13 +60,21 @@ def test_pacing_and_day_capture_see_every_call(monkeypatch, event_log):
     cfg.fleet.n_users = 20
     cfg.seed = 3  # a 20-vehicle day clear of the false cap verdict
     sc = build_scenario(cfg)
+    plans = []  # the ShapedPlans each case walks from
+    simulate_day = report.simulate_day
+
+    def keep_plans(*args, **kwargs):
+        plans.append(args[4])
+        return simulate_day(*args, **kwargs)
+
+    monkeypatch.setattr(report, "simulate_day", keep_plans)
     with run.capture_days(report) as days, calibrator.pacing(coordinator):
         report.run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
     paced = event_log.values("tick")
 
     assert len(days) == 3  # cases 2, 3 and 4
     # cases 2 and 3 share one shaping; each shaping's sweeps are passes
-    sweeps = {id(day.shaped): day.da_sweeps for day in days}
+    sweeps = {id(shaped): day.da_sweeps for shaped, day in zip(plans, days)}
     assert len(sweeps) == 2
     assert len(paced) >= sum(sweeps.values()) > 0
 

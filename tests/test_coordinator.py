@@ -15,6 +15,7 @@ from fleetdr.coordinator import (
     decide_altering,
     real_time_walk,
     shape_day_ahead,
+    shape_fleet,
     simulate_day,
 )
 from fleetdr.errors import ConfigError, InfeasibleError
@@ -99,6 +100,19 @@ def test_state_rejects_wrapped_windows():
     with pytest.raises(ConfigError, match="wraps"):
         ScheduleState(fleet=[wrapped], household_total=np.zeros(24),
                       da_profile=np.zeros(24))
+
+
+def test_state_refuses_read_only_plans():
+    fleet = small_fleet(n=4)
+    hh = np.full(N_SLOTS, 3.0)
+    shaped = shape_fleet(fleet, hh, water_fill(
+        hh, sum(p.required_energy for p in fleet)), ConvergenceSpec())
+    with pytest.raises(ConfigError, match="read-only.*pass a copy"):
+        ScheduleState(fleet=fleet, household_total=hh,
+                      da_profile=np.zeros(24), pev=shaped.pev)
+    state = ScheduleState(fleet=fleet, household_total=hh,
+                          da_profile=np.zeros(24), pev=shaped.pev.copy())
+    best_response_pass(state)
 
 
 def test_pass_lp_reads_only_the_realized_history():
@@ -275,16 +289,6 @@ def test_walk_spike_triggers_discharge():
     assert state.aggregate[2] < 1.0             # below firm demand
 
 
-def test_walk_altering_disabled_ignores_spike():
-    prof = make_profile(required_energy=0.0, v2g=True, departure_slot=6)
-    state = ScheduleState(fleet=[prof], household_total=np.full(24, 1.0),
-                          da_profile=np.full(24, 1.0))
-    altered = real_time_walk(state, spike_day(slot=3), CaseConfig(),
-                             altering=False)
-    assert altered == []
-    assert np.all(state.pev == 0.0)
-
-
 def test_walk_dip_attracts_consumption():
     prof = make_profile(arrival_slot=1, departure_slot=6, required_energy=3.6)
     rt = np.full(N_SLOTS, 0.03)
@@ -307,6 +311,12 @@ def test_walk_validates_lam():
 # ---------------------------------------------------------------------------
 # full day pipeline
 
+def shaped_day(fleet, hh, day, case, cap=None, **kwargs):
+    """``simulate_day`` from plans freshly shaped for it under ``cap``."""
+    shaped = shape_fleet(fleet, hh, day.da_profile, case.conv, cap=cap)
+    return simulate_day(fleet, hh, day, case, shaped, **kwargs)
+
+
 def test_simulate_day_freezes_pre_walk_aggregate():
     fleet = small_fleet()
     hh = np.full(N_SLOTS, 3.0)
@@ -314,7 +324,7 @@ def test_simulate_day_freezes_pre_walk_aggregate():
     day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
                     rt_prices=PriceSeries(np.full(24, 0.03), kind="rt"),
                     da_profile=bid)
-    res = simulate_day(fleet, hh, day, CaseConfig())
+    res = shaped_day(fleet, hh, day, CaseConfig())
     assert isinstance(res, DayResult)
     assert res.altered_slots == []
     assert np.array_equal(res.aggregate, res.da_aggregate)
@@ -330,15 +340,54 @@ def test_simulate_day_spike_changes_only_realtime_aggregate():
     rt[9] = 0.3
     day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
                     rt_prices=PriceSeries(rt, kind="rt"), da_profile=bid)
-    res = simulate_day(fleet, hh, day,
-                       CaseConfig(lam_rt=0.5, t0_term_scale=1000.0))
+    res = shaped_day(fleet, hh, day,
+                     CaseConfig(lam_rt=0.5, t0_term_scale=1000.0))
     assert res.altered_slots == [10]  # the 10x spike fires a trigger of 2
     assert res.aggregate[9] < res.da_aggregate[9]
     # and not one of 20
-    held = simulate_day(fleet, hh, day,
-                        CaseConfig(t0_term_scale=1000.0, trigger=20.0))
+    held = shaped_day(fleet, hh, day,
+                      CaseConfig(t0_term_scale=1000.0, trigger=20.0))
     assert held.altered_slots == []
     assert np.array_equal(held.aggregate, held.da_aggregate)
+
+
+def test_simulate_day_without_altering_keeps_the_shaped_plans(monkeypatch):
+    fleet = small_fleet()
+    hh = np.full(N_SLOTS, 3.0)
+    day = spike_day(slot=10)
+    day.da_profile = water_fill(hh, sum(p.required_energy for p in fleet))
+    case = CaseConfig(t0_term_scale=1000.0)
+    shaped = shape_fleet(fleet, hh, day.da_profile, case.conv)
+    walks = []
+    monkeypatch.setattr(coordinator, "real_time_walk",
+                        lambda *args, **kwargs: walks.append(args))
+    res = simulate_day(fleet, hh, day, case, shaped, altering=False)
+    assert walks == []
+    assert res.altered_slots == []
+    assert res.pev.tobytes() == shaped.pev.tobytes()
+    assert not np.shares_memory(res.pev, shaped.pev)
+    assert res.aggregate.tobytes() == res.da_aggregate.tobytes()
+
+
+def test_simulate_day_walks_under_the_plans_cap(monkeypatch):
+    fleet = small_fleet()
+    hh = np.full(N_SLOTS, 3.0)
+    day = make_day(purchased=water_fill(
+        hh, sum(p.required_energy for p in fleet)))
+    cap = cap_value(hh, fleet, kappa=3.0)
+    shaped = shape_fleet(fleet, hh, day.da_profile, ConvergenceSpec(),
+                         cap=cap)
+    walk = coordinator.real_time_walk
+    caps = []
+
+    def logged(*args, **kwargs):
+        caps.append(kwargs["cap"])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "real_time_walk", logged)
+    res = simulate_day(fleet, hh, day, CaseConfig(), shaped)
+    assert caps == [shaped.cap] and cap is not None
+    assert np.all(res.aggregate <= cap + 1e-6)
 
 
 @pytest.mark.parametrize("case, altering, key", [
@@ -353,6 +402,7 @@ def test_simulate_day_refuses_bad_run_settings(monkeypatch, case, altering,
     hh = np.full(N_SLOTS, 3.0)
     day = make_day(purchased=water_fill(
         hh, sum(p.required_energy for p in fleet)))
+    shaped = shape_fleet(fleet, hh, day.da_profile, ConvergenceSpec())
     passes = []
     inner = coordinator.best_response_pass
 
@@ -362,8 +412,8 @@ def test_simulate_day_refuses_bad_run_settings(monkeypatch, case, altering,
 
     monkeypatch.setattr(coordinator, "best_response_pass", counted_pass)
     with pytest.raises(ConfigError, match=key):
-        simulate_day(fleet, hh, day, case, altering=altering)
-    # refused before the first day-ahead sweep
+        simulate_day(fleet, hh, day, case, shaped, altering=altering)
+    # refused before the walk's first pass
     assert passes == []
 
 
@@ -385,29 +435,18 @@ def test_simulate_day_from_shaped_plans_matches_a_fresh_run():
     day = MarketDay(da_prices=PriceSeries(np.full(24, 0.03), kind="da"),
                     rt_prices=PriceSeries(rt, kind="rt"), da_profile=bid)
     case = CaseConfig(t0_term_scale=1000.0)
-    first = simulate_day(fleet, hh, day, CaseConfig(), altering=False)
-    fresh = simulate_day(fleet, hh, day, case)
-    reused = simulate_day(fleet, hh, day, case, shaped=first.shaped)
-    assert reused.shaped is first.shaped
+    shaped = shape_fleet(fleet, hh, day.da_profile, case.conv)
+    first = simulate_day(fleet, hh, day, case, shaped, altering=False)
+    fresh = shaped_day(fleet, hh, day, case)
+    reused = simulate_day(fleet, hh, day, case, shaped)
     assert reused.converged and reused.converged == fresh.converged
     assert reused.da_mse_trace == fresh.da_mse_trace
     assert reused.altered_slots == fresh.altered_slots == [10]
     assert np.array_equal(reused.pev, fresh.pev)
     assert np.array_equal(reused.da_aggregate, fresh.da_aggregate)
     assert not np.shares_memory(reused.pev, first.pev)
-    assert not np.shares_memory(reused.pev, first.shaped.pev)
-    assert np.array_equal(first.shaped.pev, first.pev)  # walk left it alone
-
-
-def test_simulate_day_refuses_plans_shaped_under_another_cap():
-    fleet = small_fleet()
-    hh = np.full(N_SLOTS, 3.0)
-    day = make_day(purchased=water_fill(
-        hh, sum(p.required_energy for p in fleet)))
-    shaped = simulate_day(fleet, hh, day, CaseConfig()).shaped
-    cap = cap_value(hh, fleet, kappa=3.0)
-    with pytest.raises(ConfigError, match="cap"):
-        simulate_day(fleet, hh, day, CaseConfig(), cap=cap, shaped=shaped)
+    assert not np.shares_memory(reused.pev, shaped.pev)
+    assert np.array_equal(shaped.pev, first.pev)  # the walk left it alone
 
 
 def test_convergence_spec_validation():

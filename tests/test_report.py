@@ -12,7 +12,8 @@ from test_v2g_fleet import half_v2g_config
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
 from fleetdr.coordinator import (ConvergenceSpec, DayResult, ScheduleState,
-                                 cap_value, shape_day_ahead, simulate_day)
+                                 cap_value, shape_day_ahead, shape_fleet,
+                                 simulate_day)
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import Dist, FleetSpec, N_SLOTS, sample_fleet
 from fleetdr.market import (
@@ -203,13 +204,16 @@ def count_shapings(monkeypatch, event_log):
     return event_log
 
 
-def keep_days(monkeypatch):
-    """Keep the ``DayResult`` of every case ``run_cases`` simulates."""
+def keep_days(monkeypatch, plans=None):
+    """Keep the ``DayResult`` of every case ``run_cases`` simulates, and
+    append the ``ShapedPlans`` each walks from to ``plans``."""
     days = []
+    plans = [] if plans is None else plans
     simulate_day = report.simulate_day
 
-    def kept(*args, **kwargs):
-        days.append(simulate_day(*args, **kwargs))
+    def kept(fleet, hh, market, case, shaped, **kwargs):
+        plans.append(shaped)
+        days.append(simulate_day(fleet, hh, market, case, shaped, **kwargs))
         return days[-1]
 
     monkeypatch.setattr(report, "simulate_day", kept)
@@ -230,22 +234,24 @@ def test_run_cases_shapes_once_per_distinct_cap(monkeypatch, event_log):
 
 def test_run_cases_uncapped_cases_share_one_shaping(monkeypatch):
     fleet, hh, market = build_inputs()
-    days = keep_days(monkeypatch)
+    plans = []
+    days = keep_days(monkeypatch, plans)
     comp = run_cases(fleet, hh, market,
                      CaseConfig(kappa=1.5, t0_term_scale=1000.0))
     assert len(days) == 3
     c2, c3 = comp.get(2), comp.get(3)
     assert c2.da_mse_trace == c3.da_mse_trace
     assert np.array_equal(c2.purchased, c3.purchased)
-    assert days[0].shaped is days[1].shaped
-    assert days[2].shaped is not days[0].shaped
+    assert plans[0] is plans[1]
+    assert plans[2] is not plans[0]
     assert c3.altered_slots  # the spike moved case 3 off the shared plans
     assert not np.array_equal(days[0].pev, days[1].pev)
 
 
 def test_run_cases_day_plans_do_not_alias(monkeypatch):
     fleet, hh, market = build_inputs()
-    days = keep_days(monkeypatch)
+    plans = []
+    days = keep_days(monkeypatch, plans)
     run_cases(fleet, hh, market, CaseConfig(t0_term_scale=1000.0))
     assert len(days) == 3
     before = [day.pev.copy() for day in days]
@@ -258,7 +264,7 @@ def test_run_cases_day_plans_do_not_alias(monkeypatch):
         day.pev[:] = before[i]
     # the shared shaped plans are read-only, so no walk can write into them
     with pytest.raises(ValueError):
-        days[0].shaped.pev[0, 0] = 1.0
+        plans[0].pev[0, 0] = 1.0
 
 
 def test_small_v2g_day_reports_running_out_of_sweeps(tmp_path):
@@ -298,11 +304,14 @@ def log_shaping_pids(monkeypatch, event_log):
 
 
 def serial_days(sc, case):
-    """Cases 2-4 as ``simulate_day`` runs in this process, each shaping
-    its own plans."""
+    """Cases 2-4 as ``simulate_day`` runs in this process, each from plans
+    of its own ``shape_fleet`` call."""
     cap = cap_value(sc.household_total, sc.fleet, case.kappa)
     return [simulate_day(sc.fleet, sc.household_total, sc.market, case,
-                         altering=altering, cap=day_cap)
+                         shape_fleet(sc.fleet, sc.household_total,
+                                     sc.market.da_profile, case.conv,
+                                     cap=day_cap),
+                         altering=altering)
             for altering, day_cap in ((False, None), (True, None),
                                       (True, cap))]
 
@@ -316,14 +325,15 @@ def test_forked_cases_match_serial_days_bit_for_bit(config, monkeypatch,
     cfg = config()
     sc = build_scenario(cfg)
     log_shaping_pids(monkeypatch, event_log)
-    days = keep_days(monkeypatch)
+    plans = []
+    days = keep_days(monkeypatch, plans)
     run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
     # the capped shaping ran in another process
     assert event_log.values("shaped in")[0] == os.getpid()
     assert len(set(event_log.values("shaped in"))) == 2
     assert len(days) == 3
     # the worker's plans come back read-only, as in-process ones are
-    assert not days[2].shaped.pev.flags.writeable
+    assert not plans[2].pev.flags.writeable
     for case, got, want in zip((2, 3, 4), days, serial_days(sc, cfg.case)):
         for name in ("pev", "aggregate", "da_aggregate"):
             assert (getattr(got, name).tobytes()
@@ -331,6 +341,21 @@ def test_forked_cases_match_serial_days_bit_for_bit(config, monkeypatch,
         assert got.da_mse_trace == want.da_mse_trace, f"case {case}"
         assert got.altered_slots == want.altered_slots, f"case {case}"
         assert got.converged == want.converged, f"case {case}"
+
+
+@pytest.mark.filterwarnings("error")  # else pytest keeps them off fd 2
+def test_a_capped_day_writes_nothing_to_stdout_or_stderr(capfd, monkeypatch,
+                                                        event_log):
+    # the benchmark reads its result from the last line of its stdout
+    cfg = load_config(REFERENCE_YAML)
+    cfg.fleet.n_users = 20
+    cfg.seed = 3  # a 20-vehicle day clear of the false cap verdict
+    sc = build_scenario(cfg)
+    log_shaping_pids(monkeypatch, event_log)
+    capfd.readouterr()
+    run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+    assert capfd.readouterr() == ("", "")  # the worker's fds are captured too
+    assert len(set(event_log.values("shaped in"))) == 2
 
 
 def test_a_false_verdict_in_the_worker_reaches_the_caller_unchanged():
@@ -395,8 +420,8 @@ def test_a_failing_case_leaves_no_worker(inputs, monkeypatch):
     walks = []
 
     def walk_fails_in_case_3(*args, **kwargs):
-        walks.append(kwargs["altering"])
-        if len(walks) == 2:
+        walks.append(kwargs["cap"])
+        if len(walks) == 1:  # case 2 does not walk
             raise RuntimeError("case 3 failed")
         return walk(*args, **kwargs)
 
@@ -404,7 +429,7 @@ def test_a_failing_case_leaves_no_worker(inputs, monkeypatch):
     with pytest.raises(RuntimeError, match="case 3 failed"):
         run_cases(fleet, hh, market,
                   CaseConfig(kappa=1.5, t0_term_scale=1000.0))
-    assert walks == [False, True]
+    assert walks == [None]  # case 3's uncapped walk
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

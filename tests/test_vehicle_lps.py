@@ -10,7 +10,8 @@ from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
 from fleetdr.coordinator import (ScheduleState, best_response_pass,
-                                 cap_value, connected_users, simulate_day)
+                                 cap_value, connected_users, shape_fleet,
+                                 simulate_day)
 from fleetdr.errors import ConfigError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
@@ -62,8 +63,10 @@ def walked_plans(cfg):
     """The fleet of ``cfg``'s day and its plans after the capped walk."""
     sc = build_scenario(cfg)
     cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
+    shaped = shape_fleet(sc.fleet, sc.household_total, sc.market.da_profile,
+                         cfg.case.conv, cap=cap)
     day = simulate_day(sc.fleet, sc.household_total, sc.market, cfg.case,
-                       cap=cap)
+                       shaped)
     return sc.fleet, day.pev
 
 
