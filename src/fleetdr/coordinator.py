@@ -440,9 +440,9 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
     the plans :func:`shape_fleet` shaped, under their cap.
 
     ``shaped`` must come from :func:`shape_fleet` on the same fleet,
-    households, purchase and ``case.conv``. Without ``altering`` no slot
-    replans, so the day keeps the shaped plans and no walk runs. ``case``
-    is checked first.
+    households, purchase and ``case.conv``. With ``altering=False`` no slot
+    replans: the day keeps the shaped plans and no walk runs. ``case`` is
+    checked first.
     """
     case.validate()
     cap = shaped.cap
