@@ -22,41 +22,37 @@ leaves after everyone else, which keeps the aggregate under the cap by
 construction.
 
 Each best response is one vehicle's LP, solved by the steps of
-:mod:`fleetdr.subproblem`. :func:`best_response_pass` keeps each vehicle's
-derived LP on the :class:`ScheduleState` until the walk freezes another
-slot. Before its first visit it derives every LP it will need that is
-missing or older than the frozen slots, all of them in one call of
-:func:`~fleetdr.subproblem.vehicle_lps`. Then, vehicle by vehicle, it cuts
-the box to the cap's head-room, prices the free slots and calls
-:func:`~fleetdr.subproblem.solve_vehicle`, which returns the plan or raises
-for an infeasible vehicle.
+:mod:`fleetdr.subproblem`. The sweeps of one shaping or one replan form a
+settle loop, and its passes share one :class:`PassCache`, built before the
+first of them: no pass freezes a slot, so one call of
+:func:`~fleetdr.subproblem.vehicle_lps` derives every LP the loop needs.
+Vehicle by vehicle, a pass cuts the box to the cap's head-room, prices the
+free slots and calls :func:`~fleetdr.subproblem.solve_vehicle`, which
+returns the plan or raises for an infeasible vehicle.
 
 A pass prices only the free slots. It refills everyone's load (households
 plus the fleet's aggregate) in place at its start, and again only after a
 plan write, with the same expression, so every visit reads the bits a
 fresh sum would give. A visit slices nothing and allocates no array for a
-result. The state keeps, per free window, views of the load, the purchase
-and the aggregate on its slots beside three scratch arrays, and per
-vehicle a view of its plan there; the visit writes each step into them
-with numpy's ``out``. Everyone else's load is the load less the held plan,
-the prices are that less the purchase, and the cap's head-room is the
-scalar cap less it; a write adds the plan's step to the aggregate's view.
-These are the operations, in the order, of the sliced expressions, so
-they give the same bits. The views outlive the pass: one that finds
-``pev`` or ``da_profile`` replaced cuts them afresh, keeping every LP and
-solve record, and each pass reads ``household_total`` anew.
+result: with numpy's ``out`` it writes each step into the cache's views of
+the load, the purchase, the aggregate and its plan on its free slots, and
+into three scratch arrays. Everyone else's load is the load less the held
+plan, the prices are that less the purchase, and the cap's head-room is
+the scalar cap less it; a write adds the plan's step to the aggregate's
+view. These are the operations, in the order, of the sliced expressions,
+so they give the same bits.
 
-Beside the LP the pass keeps what the vehicle's last solve saw: the capped
+Beside the LP the cache keeps what the vehicle's last solve saw: the capped
 box's upper bounds, the stable argsort of its prices and, when that solve
 ran the exact program, which neighbours in sorted order tied. The greedy
 pour reads the prices only through that argsort, and the exact program
 only compares them, so when all of it repeats the solve would return the
-plan the vehicle already holds, bit for bit. The pass skips such a solve
-and its no-op update of the aggregate. A solve that runs anyway and
-returns the held plan's bytes (a new order that moves only slots the plan
-leaves alone, say) writes nothing either: the update it skips would add
-+0.0, and the aggregate never holds -0.0. Only passes write plans, and the
-record goes with the LP when the walk freezes another slot.
+plan the vehicle already holds, bit for bit: within a loop only its passes
+write plans. The pass skips such a solve and its no-op update of the
+aggregate. A solve that runs anyway and returns the held plan's bytes (a
+new order that moves only slots the plan leaves alone, say) writes
+nothing either: the update it skips would add +0.0, and the aggregate
+never holds -0.0.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError
 from .fleet import N_SLOTS, PevProfile, as_profile, check_ranges
 from .market import MarketDay
-from .subproblem import Box, capped_box, solve_vehicle, t0_term, vehicle_lps
+from .subproblem import capped_box, solve_vehicle, t0_term, vehicle_lps
 # unused here; perfbench/tracing.py wraps both (test_traced_name_resolves)
 from .subproblem import build_subproblem, solve  # noqa: F401
 
@@ -112,15 +108,8 @@ class CaseConfig:
 class ScheduleState:
     """Everyone's current plan plus how much of the day is already real.
 
-    Passes cache each vehicle's LP, derived from the frozen slots of
-    ``pev``, and what its last solve saw, until ``realized_upto`` moves,
-    so change plans only through passes, or start a new state.
-
-    Passes also keep the fleet's aggregate and everyone's load in two
-    (24,) arrays, refilled at each pass start, and views into them, ``pev``
-    and ``da_profile``. A pass cuts the views afresh when it finds ``pev``
-    or ``da_profile`` replaced, and a copy of the state starts without
-    them.
+    The state plans on its own copy of ``pev``, so read-only plans such as
+    ``ShapedPlans.pev`` start one as they are and stay untouched.
     """
 
     fleet: List[PevProfile]
@@ -128,35 +117,13 @@ class ScheduleState:
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
-    # each fleet row's [realized_upto, derived LP, plan view on its free
-    # slots, its window's arrays, last solve's inputs], and the rate boxes
-    # those LPs share
-    _vehicles: Dict[int, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _boxes: Dict[tuple, Box] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # per free window (start, stop): [load, purchase, aggregate views,
-    # others, coeff, spare scratch]
-    _windows: Dict[tuple, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _agg: np.ndarray = field(default_factory=lambda: np.zeros(N_SLOTS),
-                             init=False, repr=False, compare=False)
-    _load: np.ndarray = field(default_factory=lambda: np.zeros(N_SLOTS),
-                              init=False, repr=False, compare=False)
-    # the pev and da_profile the views were cut from
-    _aimed: tuple = field(default=(None, None), init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         self.household_total = as_profile(self.household_total)
         self.da_profile = as_profile(self.da_profile)
         given = self.pev is not None
-        if not given:
-            self.pev = np.zeros((len(self.fleet), N_SLOTS))
-        self.pev = np.asarray(self.pev, dtype=float)
-        if not self.pev.flags.writeable:  # ShapedPlans.pev, say
-            raise ConfigError("pev matrix is read-only, and passes write "
-                              "plans into it: pass a copy")
+        self.pev = (np.array(self.pev, dtype=float) if given
+                    else np.zeros((len(self.fleet), N_SLOTS)))
         if self.pev.shape != (len(self.fleet), N_SLOTS):
             raise ConfigError(
                 f"pev matrix shape {self.pev.shape} does not match "
@@ -179,14 +146,36 @@ class ScheduleState:
                     f"user {self.fleet[idx].user_id}: plan has load "
                     "outside its charging window")
 
-    def __getstate__(self):
-        # a copy's views would not see its own arrays
-        return {**self.__dict__, "_vehicles": {}, "_windows": {},
-                "_aimed": (None, None)}
-
     @property
     def aggregate(self) -> np.ndarray:
         return self.household_total + self.pev.sum(axis=0)
+
+
+class PassCache:
+    """What the passes of one settle loop share (see the module docstring):
+    the aggregate and load arrays, and per user its [LP, plan view, its
+    free window's views and scratch arrays, last solve's inputs]. It serves
+    passes over ``users`` while the state's ``pev``, ``da_profile`` and
+    ``realized_upto`` stay as they were.
+    """
+
+    def __init__(self, state: ScheduleState, users: Sequence[int]):
+        pev, da = state.pev, state.da_profile
+        self.agg = np.zeros(N_SLOTS)
+        self.load = np.zeros(N_SLOTS)
+        self.vehicles: Dict[int, list] = {}
+        windows: Dict[tuple, list] = {}  # shared by the users of a window
+        users = list(users)
+        lps = vehicle_lps([state.fleet[idx] for idx in users], pev[users],
+                          state.realized_upto)
+        for idx, lp in zip(users, lps):
+            free = lp.free
+            window = windows.get((free.start, free.stop))
+            if window is None:
+                window = windows[free.start, free.stop] = [
+                    self.load[free], da[free], self.agg[free],
+                    *np.empty((3, free.stop - free.start))]
+            self.vehicles[idx] = [lp, pev[idx, free], window, None]
 
 
 def _matrix_mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -238,22 +227,20 @@ def _ties(coeff: np.ndarray, order: np.ndarray) -> bytes:
 def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
                        t0_sign: int = 0, t0_term_scale: float = 1.0,
                        cap: float | None = None,
-                       users: Sequence[int] | None = None) -> None:
+                       users: Sequence[int] | None = None,
+                       cache: PassCache | None = None) -> None:
     """One Gauss-Seidel sweep: each listed user replans in turn, in place.
 
     ``users`` are row indices into the fleet (default: everyone). Each
     solve sees the aggregate updated by all previous solves in the sweep.
+    ``cache`` is the one the settle loop shares; without it the pass builds
+    its own. The inputs are checked once per pass, not once per solve.
 
-    The inputs are checked once per pass, not once per solve. Each
-    vehicle's LP is derived once per ``realized_upto`` and kept on
-    ``state``, the pass's stale ones together before the first visit; per
-    solve the pass only cuts its box to the cap's head-room, prices its
-    free slots (against everyone's load, refreshed after each write) and
-    solves it, so it writes exactly the plans
-    ``solve(build_subproblem(...))`` gives and raises the same errors. A
-    vehicle whose box, price order and, after an exact solve, price ties
-    repeat those of its last solve keeps its plan unsolved, and a solve
-    that returns the held plan writes nothing (see the module docstring).
+    The pass writes exactly the plans ``solve(build_subproblem(...))``
+    gives and raises the same errors, but keeps unsolved a vehicle whose
+    box, price order and, after an exact solve, price ties repeat its last
+    solve in the cache, and writes nothing for a solve that returns the
+    held plan (see the module docstring).
     """
     if not 0 <= lam <= 1:
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
@@ -261,36 +248,16 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         raise ConfigError(f"demand cap must be finite, got {cap}")
     if users is None:
         users = range(len(state.fleet))
+    if cache is None:
+        cache = PassCache(state, users)
     t0 = t0_term(lam, t0_sign, t0_term_scale)
-    pev, hh, da = state.pev, state.household_total, state.da_profile
-    agg, load = state._agg, state._load  # refilled in place
-    as_profile(np.sum(pev, axis=0, out=agg))
+    hh, agg, load = state.household_total, cache.agg, cache.load
+    as_profile(np.sum(state.pev, axis=0, out=agg))  # refilled in place
     np.add(hh, agg, load)  # everyone's load; refreshed after each write
-    upto, vehicles, windows = (state.realized_upto, state._vehicles,
-                               state._windows)
-    if state._aimed[0] is not pev:  # the caller swapped in new plans
-        for idx, cached in vehicles.items():
-            cached[2] = pev[idx, cached[1].free]
-    if state._aimed[1] is not da:  # ... or a new purchase
-        for (start, stop), window in windows.items():
-            window[1] = da[start:stop]
-    state._aimed = pev, da
-    stale = [idx for idx in users
-             if idx not in vehicles or vehicles[idx][0] != upto]
-    if stale:
-        lps = vehicle_lps([state.fleet[idx] for idx in stale], pev[stale],
-                          upto, state._boxes)
-        for idx, lp in zip(stale, lps):
-            free = lp.free
-            window = windows.get((free.start, free.stop))
-            if window is None:
-                window = windows[free.start, free.stop] = [
-                    load[free], da[free], agg[free],
-                    *np.empty((3, free.stop - free.start))]
-            vehicles[idx] = [upto, lp, pev[idx, free], window, None]
+    vehicles = cache.vehicles
     subtract, add = np.subtract, np.add
     for idx in users:
-        _, lp, held, window, last = cached = vehicles[idx]
+        lp, held, window, last = cached = vehicles[idx]
         load_w, da_w, agg_w, others, coeff, spare = window
         subtract(load_w, held, others)
         subtract(others, da_w, coeff)
@@ -310,7 +277,7 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
                 and (last[2] is None or last[2] == _ties(coeff, order))):
             continue  # the solve would return the plan's own bits
         x, method = solve_vehicle(lp, box, coeff, order)
-        cached[4] = (ranks, up,
+        cached[3] = (ranks, up,
                      _ties(coeff, order) if method == "exact" else None)
         if x.tobytes() != held.tobytes():  # else the update adds +0.0
             subtract(x, held, spare)  # the step, into spent scratch
@@ -319,15 +286,19 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
             add(hh, agg, load)
 
 
-def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec,
+def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec, *,
+                         users: Sequence[int] | None = None,
                          **pass_kwargs) -> List[float]:
-    """Best-response passes until one moves plans by less than ``mse_tol``
-    or ``max_sweeps`` run out; returns each pass's MSE against the plans
-    before it."""
+    """Best-response passes over ``users`` until one moves plans by less
+    than ``mse_tol`` or ``max_sweeps`` run out; returns each pass's MSE
+    against the plans before it. The passes share one cache."""
+    if users is None:
+        users = range(len(state.fleet))
+    cache = PassCache(state, users)
     trace: List[float] = []
     prev = state.pev.copy()
     for _ in range(conv.max_sweeps):
-        best_response_pass(state, **pass_kwargs)
+        best_response_pass(state, users=users, cache=cache, **pass_kwargs)
         trace.append(_matrix_mse(state.pev, prev))
         if trace[-1] < conv.mse_tol:
             break
@@ -447,7 +418,7 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
     case.validate()
     cap = shaped.cap
     state = ScheduleState(fleet=list(fleet), household_total=household_total,
-                          da_profile=market.da_profile, pev=shaped.pev.copy())
+                          da_profile=market.da_profile, pev=shaped.pev)
     da_agg = state.aggregate
     altered = real_time_walk(state, market, case, cap=cap) if altering else []
     agg = state.aggregate

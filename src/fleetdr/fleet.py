@@ -427,15 +427,28 @@ def _fleet_columns(spec: FleetSpec, seed: int) -> Tuple[list, np.ndarray]:
                          np.floor(e / grid + 1e-9) * grid, e)
         # Python's max(0.0, e): np.maximum would keep a -0.0 here
         e = np.where(e > 0.0, e, 0.0)
-        # validate()'s checks on every row; ids start at 1, and
-        # spec.validate() has checked capacity and rate
-        bad = ((a < 1) | (a > N_SLOTS) | (b < 1) | (b > N_SLOTS) | (b < a)
-               | ~np.isfinite(e + cap + soc0 + rate)
-               | ~((0 <= soc0) & (soc0 <= cap)) | (e < 0)
-               | (e > headroom + 1e-9) | (e > window_cap + 1e-9))
+    bad = invalid_rows(1, a, b, e, cap, soc0, rate)  # ids start at 1
     return [range(1, n + 1), a.tolist(), b.tolist(), e.tolist(), [cap] * n,
             soc0.tolist(), [rate] * n,
             (v2g_draw < spec.v2g_fraction).tolist()], bad
+
+
+def invalid_rows(user_id, arrival, departure, energy, capacity, soc0,
+                 rate) -> np.ndarray:
+    """A mask of the rows whose :class:`PevProfile` ``validate()`` rejects,
+    from its fields as arrays (or scalars that broadcast), with the bits
+    of ``validate()``'s arithmetic on one vehicle's Python scalars."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # float slot counts: an int rate past int64 cannot scale int64s
+        window_cap = rate * (departure - arrival + 1.0)
+        return ((user_id < 1) | (arrival < 1) | (arrival > N_SLOTS)
+                | (departure < 1) | (departure > N_SLOTS)
+                | (departure < arrival)
+                | ~np.isfinite(energy + capacity + soc0 + rate)
+                | (capacity <= 0) | (rate <= 0)
+                | ~((0 <= soc0) & (soc0 <= capacity)) | (energy < 0)
+                | (energy > capacity - soc0 + 1e-9)
+                | (energy > window_cap + 1e-9))
 
 
 # ---------------------------------------------------------------------------

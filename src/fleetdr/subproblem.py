@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .fleet import N_SLOTS, PevProfile, as_profile
+from .fleet import N_SLOTS, PevProfile, as_profile, invalid_rows
 
 FEAS_TOL = 1e-7
 SOC_FLOOR_FRACTION = 0.2
@@ -115,15 +115,14 @@ class VehicleLp(NamedTuple):
 
 
 def vehicle_lps(profiles: Sequence[PevProfile], plans: np.ndarray,
-                realized_upto: int, boxes: Dict[tuple, Box]
-                ) -> List[VehicleLp]:
+                realized_upto: int) -> List[VehicleLp]:
     """Derive the LP of each of ``profiles`` once day slots
     1..``realized_upto`` of its row of ``plans`` (one (24,) row per
     profile) are fixed.
 
-    ``boxes`` caches rate boxes by (slot count, rate, V2G flag), so
-    vehicles that agree on all three share one; the solver never writes
-    to a box.
+    Vehicles that agree on slot count, rate and V2G flag share one rate
+    box; the solver never writes to a box. A profile that
+    :meth:`~fleetdr.fleet.PevProfile.validate` rejects raises its error.
 
     A vehicle's fixed energy is the sum of its realized window slots. The
     rows with as many realized slots are summed as one contiguous block,
@@ -133,6 +132,14 @@ def vehicle_lps(profiles: Sequence[PevProfile], plans: np.ndarray,
     """
     arrival = np.array([p.arrival_slot for p in profiles], dtype=np.intp)
     departure = np.array([p.departure_slot for p in profiles], dtype=np.intp)
+    required = np.array([p.required_energy for p in profiles], float)
+    capacity = np.array([p.capacity for p in profiles], float)
+    soc0 = np.array([p.initial_soc for p in profiles], float)
+    bad = invalid_rows(np.array([p.user_id for p in profiles]), arrival,
+                       departure, required, capacity, soc0,
+                       np.array([p.rate for p in profiles], float))
+    for row in np.flatnonzero(bad).tolist():
+        profiles[row].validate()
     # the realized window slots of each vehicle
     done = np.clip(realized_upto + 1 - arrival, 0, departure + 1 - arrival)
     delivered = np.zeros(len(profiles))  # no history sums to +0.0
@@ -140,9 +147,9 @@ def vehicle_lps(profiles: Sequence[PevProfile], plans: np.ndarray,
         rows = np.flatnonzero(done == d)
         block = plans[rows[:, None], arrival[rows, None] - 1 + np.arange(d)]
         delivered[rows] = block.sum(axis=1)
-    soc_start = np.array([p.initial_soc for p in profiles], float) + delivered
-    capacity = np.array([p.capacity for p in profiles], float)
-    owed = np.array([p.required_energy for p in profiles], float) - delivered
+    soc_start = soc0 + delivered
+    owed = required - delivered
+    boxes: Dict[tuple, Box] = {}
     lps = []
     for prof, start, target, floor, ceiling in zip(
             profiles, (arrival - 1 + done).tolist(), owed.tolist(),
@@ -238,7 +245,7 @@ def build_subproblem(profile: PevProfile, signal, *, lam: float = 1.0,
     plan = np.zeros((1, N_SLOTS))
     plan[0, profile.window][:len(history)] = history
     lp, = vehicle_lps([profile], plan,
-                      profile.arrival_slot - 1 + len(history), {})
+                      profile.arrival_slot - 1 + len(history))
     box = (lp.box if slot_cap is None
            else capped_box(lp, as_profile(slot_cap)[lp.free]))
     coeff = lam * signal[lp.free]

@@ -8,6 +8,7 @@ from fleetdr.coordinator import (
     CaseConfig,
     ConvergenceSpec,
     DayResult,
+    PassCache,
     ScheduleState,
     best_response_pass,
     cap_value,
@@ -102,17 +103,18 @@ def test_state_rejects_wrapped_windows():
                       da_profile=np.zeros(24))
 
 
-def test_state_refuses_read_only_plans():
+def test_state_takes_shaped_plans_and_leaves_them_untouched():
     fleet = small_fleet(n=4)
     hh = np.full(N_SLOTS, 3.0)
     shaped = shape_fleet(fleet, hh, water_fill(
         hh, sum(p.required_energy for p in fleet)), ConvergenceSpec())
-    with pytest.raises(ConfigError, match="read-only.*pass a copy"):
-        ScheduleState(fleet=fleet, household_total=hh,
-                      da_profile=np.zeros(24), pev=shaped.pev)
+    plans = shaped.pev.tobytes()
     state = ScheduleState(fleet=fleet, household_total=hh,
-                          da_profile=np.zeros(24), pev=shaped.pev.copy())
+                          da_profile=np.zeros(24), pev=shaped.pev)
     best_response_pass(state)
+    assert state.pev.tobytes() != plans  # the pass moved the state's copy
+    assert shaped.pev.tobytes() == plans and not shaped.pev.flags.writeable
+    assert not np.shares_memory(state.pev, shaped.pev)
 
 
 def test_pass_lp_reads_only_the_realized_history():
@@ -122,8 +124,9 @@ def test_pass_lp_reads_only_the_realized_history():
                           da_profile=np.zeros(24))
     state.pev[0, 1:6] = [0.5, 0.6, 0.7, 0.8, 0.9]
     state.realized_upto = 4
-    best_response_pass(state)
-    _, lp, held, _, _ = state._vehicles[0]
+    cache = PassCache(state, [0])
+    best_response_pass(state, cache=cache)
+    lp, held, _, _ = cache.vehicles[0]
     assert lp.free == slice(4, 6)
     assert lp.target == 3.6 - (0.5 + 0.6 + 0.7)
     assert lp.max_prefix == 24.0 - (12.0 + (0.5 + 0.6 + 0.7))

@@ -1,12 +1,13 @@
 """The fused best-response pass against the per-vehicle reference pass.
 
 ``reference_pass`` is the pass as one ``build_subproblem`` + ``solve`` per
-vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` derives
-each vehicle's LP once per frozen history and calls ``solve_vehicle`` on
-it, unless the vehicle's box, price order and price ties repeat its last
-solve; it must write the same plans, bit for bit, on every pass of a day,
-also after a caller puts new arrays on the state, and fail the same way on
-bad input.
+vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` takes
+each vehicle's LP from the ``PassCache`` its settle loop shares, or from
+one it builds for itself, and calls ``solve_vehicle`` on it, unless the
+vehicle's box, price order and price ties repeat its last solve in that
+cache; it must write the same plans, bit for bit, on every pass of a day,
+with or without a shared cache, also after a caller puts new plans or
+arrays on the state, and fail the same way on bad input.
 """
 
 import copy
@@ -20,7 +21,8 @@ from test_v2g_fleet import half_v2g_config
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
 from fleetdr.coordinator import (ScheduleState, best_response_pass,
-                                 cap_value, connected_users)
+                                 cap_value, connected_users, shape_fleet,
+                                 simulate_day)
 from fleetdr.errors import ConfigError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
@@ -36,7 +38,8 @@ def realized_history(state, idx):
 
 
 def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
-                   cap=None, users=None):
+                   cap=None, users=None, cache=None):
+    """The pass from scratch; it has no use for ``cache``."""
     if users is None:
         users = range(len(state.fleet))
     agg_pev = state.pev.sum(axis=0)
@@ -111,8 +114,8 @@ def test_half_v2g_day_passes_match_bit_for_bit(checked_passes):
 
 def test_passes_after_a_caller_swaps_arrays_match_bit_for_bit(
         checked_passes):
-    """A pass keeps views into the plans and the purchase from one pass to
-    the next; a new array in their place must be read, not the old one."""
+    """A pass without a cache reads the arrays the state holds at its
+    start, not those an earlier pass saw."""
     cfg = half_v2g_config(200)
     sc = build_scenario(cfg)
     cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
@@ -142,11 +145,11 @@ def test_passes_after_a_caller_swaps_arrays_match_bit_for_bit(
 # the skip: a vehicle is solved again whenever a repeat could move its plan
 
 def priced(state, prices):
-    """Set the purchase so the first free slots cost ``prices``: a lone
-    vehicle's price is the households less the purchase."""
-    da = np.zeros(N_SLOTS)
-    da[:len(prices)] = state.household_total[:len(prices)] - prices
-    state.da_profile = da
+    """Set the purchase, in place, so the first free slots cost ``prices``:
+    a lone vehicle's price is the households less the purchase."""
+    state.da_profile[:] = 0.0
+    state.da_profile[:len(prices)] = \
+        state.household_total[:len(prices)] - prices
 
 
 # the battery's ceiling binds, so both price lists run the exact program;
@@ -160,9 +163,10 @@ def test_a_new_tie_between_exact_solves_is_solved_again(checked_passes,
                                                         first, second):
     state = one_vehicle_state(required_energy=1.8, capacity=6.0,
                               initial_soc=4.0, v2g=True)
+    cache = coordinator.PassCache(state, [0])
     for prices, plan in (first, second, second):
         priced(state, np.array(prices))
-        coordinator.best_response_pass(state)
+        coordinator.best_response_pass(state, cache=cache)
         assert state.pev[0, :3] == pytest.approx(plan)
     # the repeat of `second` skips
     assert (checked_passes["exact"], checked_passes["greedy"]) == (2, 0)
@@ -172,13 +176,65 @@ def test_a_new_cap_head_room_is_solved_again(checked_passes):
     # same prices each pass; only the head-room the cap leaves changes
     state = one_vehicle_state(required_energy=2.0)
     priced(state, np.array([1.0, 2.0, 3.0]))
+    cache = coordinator.PassCache(state, [0])
     # households draw 2 kWh a slot
     for cap, plan in [(4.0, [1.8, 0.2, 0.0]), (3.0, [1.0, 1.0, 0.0]),
                       (3.0, [1.0, 1.0, 0.0])]:
-        coordinator.best_response_pass(state, cap=cap)
+        coordinator.best_response_pass(state, cap=cap, cache=cache)
         assert state.pev[0, :3] == pytest.approx(plan)
     # the repeat of cap 3 skips
     assert (checked_passes["greedy"], checked_passes["exact"]) == (2, 0)
+
+
+@pytest.mark.parametrize("put", ["rebind", "write_row"])
+def test_a_direct_pass_answers_the_plans_a_caller_put_in(checked_passes,
+                                                         put):
+    state = one_vehicle_state(required_energy=1.8)
+    priced(state, np.array([1.0, 2.0, 3.0]))
+    coordinator.best_response_pass(state)
+    assert state.pev[0, :3].tolist() == [1.8, 0.0, 0.0]
+    other = np.zeros((1, N_SLOTS))
+    other[0, 2] = 1.8  # a legal plan, but not the best response
+    if put == "rebind":
+        state.pev = other
+    else:
+        state.pev[0] = other[0]
+    coordinator.best_response_pass(state)
+    assert state.pev[0, :3].tolist() == [1.8, 0.0, 0.0]
+
+
+def test_passes_sharing_a_cache_match_passes_building_their_own(
+        monkeypatch):
+    """The cache only saves solves: the capped day's shaping and walk write
+    the same bits whether each loop's passes share one cache or not."""
+    cfg = half_v2g_config(200)
+    sc = build_scenario(cfg)
+    cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
+    fused, kernel = coordinator.best_response_pass, coordinator.solve_vehicle
+    solves = []
+
+    def counted_solve(*args):
+        solves[-1] += 1
+        return kernel(*args)
+
+    def day():
+        solves.append(0)
+        shaped = shape_fleet(sc.fleet, sc.household_total,
+                             sc.market.da_profile, cfg.case.conv, cap=cap)
+        return shaped, simulate_day(sc.fleet, sc.household_total, sc.market,
+                                    cfg.case, shaped)
+
+    monkeypatch.setattr(coordinator, "solve_vehicle", counted_solve)
+    shaped, walked = day()
+    monkeypatch.setattr(coordinator, "best_response_pass",
+                        lambda state, cache, **kwargs: fused(state, **kwargs))
+    own_shaped, own_walked = day()
+    assert shaped.pev.tobytes() == own_shaped.pev.tobytes()
+    assert shaped.mse_trace == own_shaped.mse_trace
+    assert walked.pev.tobytes() == own_walked.pev.tobytes()
+    assert walked.altered_slots == own_walked.altered_slots != []
+    assert np.isclose(walked.aggregate, cap).any()  # the cap binds
+    assert solves[0] < solves[1]  # the shared caches skipped repeats
 
 
 def test_a_solve_that_returns_the_held_plan_writes_nothing(monkeypatch):

@@ -1,8 +1,9 @@
 """The library exports only what the program uses.
 
-Every public top-level function and class of ``src/fleetdr`` must be named
-by the program itself, its demos or its benchmark; a name only the tests
-use is API that nothing calls. The package's ``__init__`` re-exports do not
+Every public top-level function and class of ``src/fleetdr``, and every
+public method and property of a public class, must be named by the program
+itself, its demos or its benchmark; a name only the tests use is API that
+nothing calls. The package's ``__init__`` re-exports do not
 count as uses, and the benchmark's string references (the names it wraps
 by ``getattr``) do.
 """
@@ -56,3 +57,14 @@ def test_every_public_name_has_a_caller_outside_the_tests(module, used):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
     assert [name for name in public if name not in used] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_has_a_caller_outside_the_tests(module, used):
+    tree = parse(os.path.join(SRC, module))
+    public = [(cls.name, node.name) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    assert [f"{cls}.{name}" for cls, name in public if name not in used] == []

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pickle
@@ -178,6 +179,20 @@ def test_run_cases_no_kappa_degenerates_case4_to_case3():
     assert comp.get(4).total_cost == comp.get(3).total_cost
     assert np.array_equal(comp.get(4).aggregate, comp.get(3).aggregate)
     assert comp.deltas[(3, 4)] == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrival_slot", 0), ("departure_slot", 25), ("capacity", -5.0),
+    ("user_id", 0), ("rate", 0.0)])
+def test_run_cases_refuses_a_hand_built_profile_validate_rejects(field,
+                                                                 value):
+    fleet, hh, market = build_inputs()
+    fleet[3] = dataclasses.replace(fleet[3], **{field: value})
+    with pytest.raises(ConfigError) as expected:
+        fleet[3].validate()
+    with pytest.raises(ConfigError) as err:
+        run_cases(fleet, hh, market, CaseConfig(kappa=3.0))
+    assert str(err.value) == str(expected.value)
 
 
 def test_run_cases_cap_binds_case4():

@@ -1,6 +1,6 @@
 """``vehicle_lps`` derives a batch of vehicle LPs in array steps; every
-field must carry the bits the one-vehicle derivation gives, and a pass
-must derive only the LPs the frozen slots have made stale.
+field must carry the bits the one-vehicle derivation gives, and each
+settle loop must derive its users' LPs in one call.
 """
 
 import numpy as np
@@ -9,9 +9,8 @@ import pytest
 from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
-from fleetdr.coordinator import (ScheduleState, best_response_pass,
-                                 cap_value, connected_users, shape_fleet,
-                                 simulate_day)
+from fleetdr.coordinator import (ScheduleState, cap_value, real_time_walk,
+                                 shape_day_ahead, shape_fleet, simulate_day)
 from fleetdr.errors import ConfigError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
@@ -41,8 +40,8 @@ def bits(value):
 
 
 def assert_batch_matches(fleet, pev, realized_upto):
-    boxes = {}
-    lps = vehicle_lps(fleet, pev, realized_upto, boxes)
+    boxes = {}  # the first box of each (slot count, rate, V2G flag)
+    lps = vehicle_lps(fleet, pev, realized_upto)
     assert len(lps) == len(fleet)
     for prof, plan, lp in zip(fleet, pev, lps):
         user, free, target, floor, ceiling, reach, k = one_vehicle_lp(
@@ -52,7 +51,8 @@ def assert_batch_matches(fleet, pev, realized_upto):
         assert [bits(v) for v in (lp.target, lp.min_prefix, lp.max_prefix,
                                   lp.reach)] == \
             [bits(v) for v in (target, floor, ceiling, reach)], who
-        assert lp.box is boxes[(k, prof.rate, prof.v2g)], who
+        assert lp.box is boxes.setdefault((k, prof.rate, prof.v2g),
+                                          lp.box), who
     for (k, rate, v2g), box in boxes.items():
         assert box.lo.tolist() == [-rate if v2g else 0.0] * k
         assert box.up.tolist() == [rate] * k
@@ -156,48 +156,45 @@ def test_build_subproblem_derives_one_row_the_same_way():
 
 
 def test_no_vehicles_derive_nothing():
-    assert vehicle_lps([], np.zeros((0, N_SLOTS)), 5, {}) == []
+    assert vehicle_lps([], np.zeros((0, N_SLOTS)), 5) == []
 
 
 @pytest.fixture
 def derived(monkeypatch):
-    """The fleet rows each pass derived an LP for, one list per call."""
+    """The fleet rows each ``vehicle_lps`` call derived an LP for, one list
+    per call."""
     calls = []
     real = coordinator.vehicle_lps
 
-    def counted(profiles, plans, realized_upto, boxes):
+    def counted(profiles, plans, realized_upto):
         calls.append([prof.user_id - 1 for prof in profiles])
-        return real(profiles, plans, realized_upto, boxes)
+        return real(profiles, plans, realized_upto)
 
     monkeypatch.setattr(coordinator, "vehicle_lps", counted)
     return calls
 
 
-def test_a_pass_derives_only_the_stale_lps(reference_scenario, derived):
+def test_each_settle_loop_derives_its_users_lps_once(
+        reference_scenario, reference_config, derived, monkeypatch):
     sc = reference_scenario
-    assert [p.user_id for p in sc.fleet] == list(range(1, len(sc.fleet) + 1))
-    state = ScheduleState(fleet=list(sc.fleet),
-                          household_total=sc.household_total,
-                          da_profile=sc.market.da_profile)
-    best_response_pass(state)
-    assert derived == [list(range(len(sc.fleet)))]
-    best_response_pass(state)  # the same realized_upto: nothing is stale
-    assert len(derived) == 1
+    fleet, case = list(sc.fleet), reference_config.case
+    assert [p.user_id for p in fleet] == list(range(1, len(fleet) + 1))
+    passes = []
+    fused = coordinator.best_response_pass
 
-    state.realized_upto = 9
-    users = connected_users(state, 10)[::3]  # one replanning vehicle in 3
-    before = {idx: (entry, *entry) for idx, entry in state._vehicles.items()}
-    best_response_pass(state, lam=0.5, t0_sign=1, users=users)
-    assert derived[1:] == [users]
-    for idx, (entry, upto, lp, held, window, last) in before.items():
-        now = state._vehicles[idx]
-        if idx in users:
-            assert now[0] == 9 and now[1] is not lp
-            free = now[1].free  # the plan view follows the new LP
-            assert now[2].size == free.stop - free.start
-            assert np.shares_memory(now[2], state.pev[idx, free])
-        else:
-            assert now is entry
-            assert (now[0], now[1], now[4]) == (upto, lp, last)
-            assert now[1] is lp and now[4] is last
-            assert now[2] is held and now[3] is window
+    def counted_pass(state, **kwargs):
+        passes.append(kwargs["cache"])
+        fused(state, **kwargs)
+
+    monkeypatch.setattr(coordinator, "best_response_pass", counted_pass)
+    state = ScheduleState(fleet=fleet, household_total=sc.household_total,
+                          da_profile=sc.market.da_profile)
+    trace = shape_day_ahead(state, case.conv)
+    assert len(trace) > 1 and derived == [list(range(len(fleet)))]
+    altered = real_time_walk(state, sc.market, case)
+    # one derivation per replan, of the vehicles connected at its slot
+    assert altered and derived[1:] == [
+        [idx for idx, p in enumerate(fleet)
+         if p.arrival_slot <= slot <= p.departure_slot] for slot in altered]
+    # and each loop's passes share the cache it built
+    assert len(passes) > len(derived) == len({id(c) for c in passes})
