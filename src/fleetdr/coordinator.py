@@ -9,9 +9,9 @@ The coordination game is played in two phases over a 24-slot day:
 
 * **Real-time walk.** The day is replayed slot by slot. When the real-time
   price diverges from the day-ahead price by the trigger ratio, the
-  connected vehicles replan their remaining slots with an extra term that
-  pushes immediate consumption down (spike) or up (dip). Each slot's
-  consumption is then frozen and the walk advances.
+  connected vehicles replan their remaining slots, with one extra price on
+  the first that pushes immediate consumption down (spike) or up (dip).
+  Each slot's consumption is then frozen and the walk advances.
 
 One :class:`CaseConfig` holds every run setting of the day, from a
 scenario file's ``run`` section down to the walk, which checks it once.
@@ -26,9 +26,9 @@ Each best response is one vehicle's LP, solved by the steps of
 settle loop, and its passes share one :class:`PassCache`, built before the
 first of them: no pass freezes a slot, so one call of
 :func:`~fleetdr.subproblem.vehicle_lps` derives every LP the loop needs.
-Vehicle by vehicle, a pass cuts the box to the cap's head-room, prices the
-free slots and calls :func:`~fleetdr.subproblem.solve_vehicle`, which
-returns the plan or raises for an infeasible vehicle.
+A pass visits the vehicles its cache lists, in order: it cuts each box to
+the cap's head-room, prices the free slots and calls ``solve_vehicle``,
+which returns the plan or raises for an infeasible vehicle.
 
 A pass prices only the free slots. It refills everyone's load (households
 plus the fleet's aggregate) in place at its start, and again only after a
@@ -153,19 +153,20 @@ class ScheduleState:
 
 class PassCache:
     """What the passes of one settle loop share (see the module docstring):
-    the aggregate and load arrays, and per user its [LP, plan view, its
-    free window's views and scratch arrays, last solve's inputs]. It serves
-    passes over ``users`` while the state's ``pev``, ``da_profile`` and
-    ``realized_upto`` stay as they were.
+    the aggregate and load arrays, and per user of ``users`` (fleet rows,
+    default all), in order, its [LP, plan view, free window's views and
+    scratch arrays, last solve's inputs]. It serves passes while the
+    state's ``pev``, ``da_profile`` and ``realized_upto`` stay put.
     """
 
-    def __init__(self, state: ScheduleState, users: Sequence[int]):
+    def __init__(self, state: ScheduleState,
+                 users: Sequence[int] | None = None):
         pev, da = state.pev, state.da_profile
         self.agg = np.zeros(N_SLOTS)
         self.load = np.zeros(N_SLOTS)
         self.vehicles: Dict[int, list] = {}
         windows: Dict[tuple, list] = {}  # shared by the users of a window
-        users = list(users)
+        users = list(range(len(state.fleet)) if users is None else users)
         lps = vehicle_lps([state.fleet[idx] for idx in users], pev[users],
                           state.realized_upto)
         for idx, lp in zip(users, lps):
@@ -176,10 +177,6 @@ class PassCache:
                     self.load[free], da[free], self.agg[free],
                     *np.empty((3, free.stop - free.start))]
             self.vehicles[idx] = [lp, pev[idx, free], window, None]
-
-
-def _matrix_mse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean((a - b) ** 2))
 
 
 def decide_altering(rt_price: float, da_price: float, trigger: float) -> bool:
@@ -212,6 +209,8 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
     total = float(hh.sum()) + sum(p.required_energy for p in fleet)
     cap = kappa * total / N_SLOTS
     if not math.isfinite(cap):
+        for prof in fleet:  # a bad profile, not kappa, is then to blame
+            prof.validate()
         raise ConfigError(f"run.kappa {kappa!r} is too large: the cap, kappa "
                           f"times the day's mean demand of "
                           f"{total / N_SLOTS:.6g} kWh, overflows")
@@ -225,16 +224,14 @@ def _ties(coeff: np.ndarray, order: np.ndarray) -> bytes:
 
 
 def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
-                       t0_sign: int = 0, t0_term_scale: float = 1.0,
-                       cap: float | None = None,
-                       users: Sequence[int] | None = None,
+                       t0: float | None = None, cap: float | None = None,
                        cache: PassCache | None = None) -> None:
-    """One Gauss-Seidel sweep: each listed user replans in turn, in place.
-
-    ``users`` are row indices into the fleet (default: everyone). Each
-    solve sees the aggregate updated by all previous solves in the sweep.
-    ``cache`` is the one the settle loop shares; without it the pass builds
-    its own. The inputs are checked once per pass, not once per solve.
+    """One Gauss-Seidel sweep: the users ``cache`` lists replan in turn,
+    in place, in its order (without a cache the pass builds its own, over
+    everyone). Each solve sees the aggregate updated by all previous
+    solves in the sweep. ``t0``, the spike term's price (see ``t0_term``),
+    is added to each vehicle's first free slot. The inputs are checked
+    once per pass, not once per solve.
 
     The pass writes exactly the plans ``solve(build_subproblem(...))``
     gives and raises the same errors, but keeps unsolved a vehicle whose
@@ -246,18 +243,14 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
         raise ConfigError(f"lam must be in [0, 1], got {lam}")
     if cap is not None and not math.isfinite(cap):
         raise ConfigError(f"demand cap must be finite, got {cap}")
-    if users is None:
-        users = range(len(state.fleet))
     if cache is None:
-        cache = PassCache(state, users)
-    t0 = t0_term(lam, t0_sign, t0_term_scale)
+        cache = PassCache(state)
     hh, agg, load = state.household_total, cache.agg, cache.load
     as_profile(np.sum(state.pev, axis=0, out=agg))  # refilled in place
     np.add(hh, agg, load)  # everyone's load; refreshed after each write
-    vehicles = cache.vehicles
     subtract, add = np.subtract, np.add
-    for idx in users:
-        lp, held, window, last = cached = vehicles[idx]
+    for cached in cache.vehicles.values():
+        lp, held, window, last = cached
         load_w, da_w, agg_w, others, coeff, spare = window
         subtract(load_w, held, others)
         subtract(others, da_w, coeff)
@@ -289,17 +282,15 @@ def best_response_pass(state: ScheduleState, *, lam: float = 1.0,
 def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec, *,
                          users: Sequence[int] | None = None,
                          **pass_kwargs) -> List[float]:
-    """Best-response passes over ``users`` until one moves plans by less
-    than ``mse_tol`` or ``max_sweeps`` run out; returns each pass's MSE
-    against the plans before it. The passes share one cache."""
-    if users is None:
-        users = range(len(state.fleet))
+    """Best-response passes over ``users`` (default all) until one moves
+    plans by less than ``mse_tol`` or ``max_sweeps`` run out; returns each
+    pass's MSE against the plans before it. They share one cache."""
     cache = PassCache(state, users)
     trace: List[float] = []
     prev = state.pev.copy()
     for _ in range(conv.max_sweeps):
-        best_response_pass(state, users=users, cache=cache, **pass_kwargs)
-        trace.append(_matrix_mse(state.pev, prev))
+        best_response_pass(state, cache=cache, **pass_kwargs)
+        trace.append(float(np.mean((state.pev - prev) ** 2)))
         if trace[-1] < conv.mse_tol:
             break
         prev = state.pev.copy()
@@ -380,10 +371,10 @@ def real_time_walk(state: ScheduleState, market: MarketDay, case: CaseConfig,
             users = connected_users(state, t)
             if users:
                 altered.append(t)
-                _sweep_until_settled(
-                    state, case.conv, lam=case.lam_rt,
-                    t0_sign=1 if rt > da else -1,
-                    t0_term_scale=case.t0_term_scale, cap=cap, users=users)
+                t0 = t0_term(case.lam_rt, 1 if rt > da else -1,
+                             case.t0_term_scale)
+                _sweep_until_settled(state, case.conv, lam=case.lam_rt,
+                                     t0=t0, cap=cap, users=users)
         # slot t is now real
     state.realized_upto = N_SLOTS
     return altered

@@ -541,8 +541,9 @@ def uncoordinated_profile(fleet: Sequence[PevProfile]) -> np.ndarray:
     adding the vehicles' schedules one after another.
     """
     n = len(fleet)
-    start = np.fromiter((p.arrival_slot - 1 for p in fleet), int, n)
-    stop = np.fromiter((p.departure_slot for p in fleet), int, n)
+    # only compared, so read as given: a slot past int64 reaches validate()
+    start = np.array([p.arrival_slot - 1 for p in fleet])
+    stop = np.array([p.departure_slot for p in fleet])
     rate = np.fromiter((p.rate for p in fleet), float, n)
     remaining = np.fromiter((p.required_energy for p in fleet), float, n)
     agg = np.zeros(N_SLOTS)

@@ -6,12 +6,15 @@ called through.
 ``perfbench/run.py`` captures every ``report.simulate_day``; a renamed,
 inlined or deleted name, or one the program stops calling through its
 module global, would break only the benchmark, so tier-1 checks both here.
-It also holds the benchmark's output pins to tier-1's.
+It also holds the benchmark's output pins to tier-1's, and its output
+contract: a run exits 0, writes no stderr and ends on one JSON result line.
 """
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -139,3 +142,24 @@ def test_benchmark_v2g_half_costs_of_cases_2_and_3_match(perfbench_run,
 def test_benchmark_v2g_half_case_4_pin_matches(perfbench_run,
                                                v2g_half_costs):
     assert v2g_half_costs[2] == perfbench_run.EXPECTED_COSTS["v2g_half"][2]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's output contract, on one short run of each workload
+
+def reject_constant(name):
+    raise ValueError(f"result line holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("workload, seed", [("v2g_half", 41),
+                                            ("reference", 3301)])
+def test_a_benchmark_run_ends_on_a_json_result_line(workload, seed):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload",
+         workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout.splitlines()[-1],
+                        parse_constant=reject_constant)
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True and result["failed"] == 0

@@ -1,13 +1,15 @@
 """The fused best-response pass against the per-vehicle reference pass.
 
 ``reference_pass`` is the pass as one ``build_subproblem`` + ``solve`` per
-vehicle, in Gauss-Seidel order. ``coordinator.best_response_pass`` takes
-each vehicle's LP from the ``PassCache`` its settle loop shares, or from
-one it builds for itself, and calls ``solve_vehicle`` on it, unless the
-vehicle's box, price order and price ties repeat its last solve in that
-cache; it must write the same plans, bit for bit, on every pass of a day,
-with or without a shared cache, also after a caller puts new plans or
-arrays on the state, and fail the same way on bad input.
+vehicle, in Gauss-Seidel order over the users the ``PassCache`` lists (or
+everyone), with the spike term's one price added to the first free slot.
+``coordinator.best_response_pass`` visits those users in the cache's order,
+takes each vehicle's LP from the cache its settle loop shares, or from one
+it builds for itself over everyone, and calls ``solve_vehicle`` on it,
+unless the vehicle's box, price order and price ties repeat its last solve
+in that cache; it must write the same plans, bit for bit, on every pass of
+a day, with or without a shared cache, also after a caller puts new plans
+or arrays on the state, and fail the same way on bad input.
 """
 
 import copy
@@ -20,13 +22,13 @@ from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
-from fleetdr.coordinator import (ScheduleState, best_response_pass,
-                                 cap_value, connected_users, shape_fleet,
-                                 simulate_day)
+from fleetdr.coordinator import (PassCache, ScheduleState,
+                                 best_response_pass, cap_value,
+                                 connected_users, shape_fleet, simulate_day)
 from fleetdr.errors import ConfigError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
-from fleetdr.subproblem import build_subproblem, solve
+from fleetdr.subproblem import build_subproblem, solve, t0_term
 
 
 def realized_history(state, idx):
@@ -37,11 +39,10 @@ def realized_history(state, idx):
     return state.pev[idx, prof.window][:done]
 
 
-def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
-                   cap=None, users=None, cache=None):
-    """The pass from scratch; it has no use for ``cache``."""
-    if users is None:
-        users = range(len(state.fleet))
+def reference_pass(state, *, lam=1.0, t0=None, cap=None, cache=None):
+    """The pass from scratch; it reads only which users ``cache`` lists,
+    in order (everyone without one)."""
+    users = range(len(state.fleet)) if cache is None else cache.vehicles
     agg_pev = state.pev.sum(axis=0)
     for idx in users:
         plan = state.pev[idx]
@@ -50,8 +51,9 @@ def reference_pass(state, *, lam=1.0, t0_sign=0, t0_term_scale=1.0,
         room = None if cap is None else cap - others
         sub = build_subproblem(
             state.fleet[idx], signal, lam=lam,
-            history=realized_history(state, idx), t0_sign=t0_sign,
-            t0_term_scale=t0_term_scale, slot_cap=room)
+            history=realized_history(state, idx), slot_cap=room)
+        if t0 is not None and sub.coeff.size:  # as build_subproblem adds it
+            sub.coeff[0] += t0
         x = solve(sub).x
         end = state.fleet[idx].departure_slot
         free = slice(end - x.size, end)
@@ -78,8 +80,9 @@ def checked_passes(monkeypatch, event_log):
         fused(state, **kwargs)
         event_log.add("passes")
         event_log.add("walk_passes", int(state.realized_upto > 0))
-        users = kwargs.get("users")
-        event_log.add("visits", len(state.fleet if users is None else users))
+        cache = kwargs.get("cache")
+        event_log.add("visits", len(state.fleet if cache is None
+                                    else cache.vehicles))
         assert np.array_equal(state.pev, expected.pev), \
             f"pass {event_log['passes']} ({kwargs}) left other plans"
 
@@ -134,11 +137,35 @@ def test_passes_after_a_caller_swaps_arrays_match_bit_for_bit(
     coordinator.best_response_pass(state, cap=cap)
     state.realized_upto = 9
     state.pev = state.pev.copy()
-    coordinator.best_response_pass(state, lam=0.5, t0_sign=1, cap=cap,
-                                   users=connected_users(state, 10))
+    coordinator.best_response_pass(
+        state, lam=0.5, t0=t0_term(0.5, 1, 1.0), cap=cap,
+        cache=PassCache(state, connected_users(state, 10)))
     # the cap binds: some slot's aggregate sits at it
     assert np.isclose(state.aggregate, cap).any()
     assert checked_passes["exact"] > 0
+
+
+def test_a_pass_visits_the_users_its_cache_lists_in_order(monkeypatch):
+    cfg = half_v2g_config(200)
+    sc = build_scenario(cfg)
+    shaped = shape_fleet(sc.fleet, sc.household_total, sc.market.da_profile,
+                         cfg.case.conv)
+    state = ScheduleState(fleet=list(sc.fleet),
+                          household_total=sc.household_total,
+                          da_profile=sc.market.da_profile, pev=shaped.pev)
+    users = [150, 7, 42, 3, 199, 0]
+    kernel, visited = coordinator.solve_vehicle, []
+
+    def logged_solve(lp, *args):
+        visited.append(lp.user_id)
+        return kernel(lp, *args)
+
+    monkeypatch.setattr(coordinator, "solve_vehicle", logged_solve)
+    best_response_pass(state, lam=0.5, t0=t0_term(0.5, -1, 1.0),
+                       cache=PassCache(state, users))
+    assert visited == [sc.fleet[idx].user_id for idx in users]
+    others = [idx for idx in range(len(sc.fleet)) if idx not in users]
+    assert state.pev[others].tobytes() == shaped.pev[others].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +253,10 @@ def test_passes_sharing_a_cache_match_passes_building_their_own(
 
     monkeypatch.setattr(coordinator, "solve_vehicle", counted_solve)
     shaped, walked = day()
-    monkeypatch.setattr(coordinator, "best_response_pass",
-                        lambda state, cache, **kwargs: fused(state, **kwargs))
+    monkeypatch.setattr(
+        coordinator, "best_response_pass",
+        lambda state, cache, **kwargs: fused(
+            state, cache=PassCache(state, list(cache.vehicles)), **kwargs))
     own_shaped, own_walked = day()
     assert shaped.pev.tobytes() == own_shaped.pev.tobytes()
     assert shaped.mse_trace == own_shaped.mse_trace

@@ -183,7 +183,8 @@ def test_run_cases_no_kappa_degenerates_case4_to_case3():
 
 @pytest.mark.parametrize("field, value", [
     ("arrival_slot", 0), ("departure_slot", 25), ("capacity", -5.0),
-    ("user_id", 0), ("rate", 0.0)])
+    ("user_id", 0), ("rate", 0.0), ("required_energy", float("nan")),
+    ("arrival_slot", 2**70)])
 def test_run_cases_refuses_a_hand_built_profile_validate_rejects(field,
                                                                  value):
     fleet, hh, market = build_inputs()
