@@ -14,7 +14,7 @@ import numpy as np
 
 from .coordinator import cap_value, shape_fleet, simulate_day
 from .errors import ConfigError, DataError, InfeasibleError
-from .fleet import write_fleet_csv
+from .fleet import as_fleet, write_fleet_csv
 from .report import emit, run_cases
 from .scenario import (FLEET_SEED_OFFSET, HOUSEHOLD_SEED_OFFSET,
                        PRICE_SEED_OFFSET, ScenarioConfig,
@@ -75,11 +75,12 @@ def cmd_simulate(cfg: ScenarioConfig, out: str | None = None,
     out_dir = _out_dir(cfg, out)
     _refuse_existing(os.path.join(out_dir, "summary.json"), force)
     scenario = build_scenario(cfg)
-    cap = cap_value(scenario.household_total, scenario.fleet, cfg.case.kappa)
-    shaped = shape_fleet(scenario.fleet, scenario.household_total,
+    fleet = as_fleet(scenario.fleet)
+    cap = cap_value(scenario.household_total, fleet, cfg.case.kappa)
+    shaped = shape_fleet(fleet, scenario.household_total,
                          scenario.market.da_profile, cfg.case.conv, cap=cap)
-    day = simulate_day(scenario.fleet, scenario.household_total,
-                       scenario.market, cfg.case, shaped)
+    day = simulate_day(fleet, scenario.household_total, scenario.market,
+                       cfg.case, shaped)
     emit(day, out_dir, meta=_meta(cfg))
     peak = float(day.aggregate.max())
     print(f"shaping sweeps: {day.da_sweeps}")

@@ -25,7 +25,9 @@ Each best response is one vehicle's LP, solved by the steps of
 :mod:`fleetdr.subproblem`. The sweeps of one shaping or one replan form a
 settle loop, and its passes share one :class:`PassCache`, built before the
 first of them: no pass freezes a slot, so one call of
-:func:`~fleetdr.subproblem.vehicle_lps` derives every LP the loop needs.
+:func:`~fleetdr.subproblem.vehicle_lps`, on the rows of the loop's users
+in the state's one checked :class:`~fleetdr.fleet.Fleet`, derives every LP
+the loop needs.
 A pass visits the vehicles its cache lists, in order: it cuts each box to
 the cap's head-room, prices the free slots and calls ``solve_vehicle``,
 which returns the plan or raises for an infeasible vehicle.
@@ -64,7 +66,8 @@ from typing import Annotated, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .fleet import N_SLOTS, PevProfile, as_profile, check_ranges
+from .fleet import (N_SLOTS, Fleet, PevProfile, as_fleet, as_profile,
+                    check_ranges)
 from .market import MarketDay
 from .subproblem import capped_box, solve_vehicle, t0_term, vehicle_lps
 # unused here; perfbench/tracing.py wraps both (test_traced_name_resolves)
@@ -108,17 +111,19 @@ class CaseConfig:
 class ScheduleState:
     """Everyone's current plan plus how much of the day is already real.
 
-    The state plans on its own copy of ``pev``, so read-only plans such as
+    The state reads ``fleet`` through :func:`~fleetdr.fleet.as_fleet` and
+    plans on its own copy of ``pev``, so read-only plans such as
     ``ShapedPlans.pev`` start one as they are and stay untouched.
     """
 
-    fleet: List[PevProfile]
+    fleet: Fleet
     household_total: np.ndarray
     da_profile: np.ndarray
     pev: np.ndarray = field(default=None)  # (n_users, 24) charge plans, kWh
     realized_upto: int = 0  # day slots 1..realized_upto are frozen
 
     def __post_init__(self):
+        self.fleet = as_fleet(self.fleet)
         self.household_total = as_profile(self.household_total)
         self.da_profile = as_profile(self.da_profile)
         given = self.pev is not None
@@ -128,18 +133,13 @@ class ScheduleState:
             raise ConfigError(
                 f"pev matrix shape {self.pev.shape} does not match "
                 f"{len(self.fleet)} users x {N_SLOTS} slots")
-        for prof in self.fleet:
-            if prof.departure_slot < prof.arrival_slot:
-                prof.validate()  # raises the wrapped-window error
         if given:
             # passes only ever write window slots, so a plan must start
             # with nothing outside its window
-            arrival = np.array([p.arrival_slot for p in self.fleet], float)
-            departure = np.array([p.departure_slot for p in self.fleet],
-                                 float)
             slot = np.arange(1, N_SLOTS + 1)
-            outside = (self.pev != 0.0) & ((slot < arrival[:, None])
-                                           | (slot > departure[:, None]))
+            outside = (self.pev != 0.0) & (
+                (slot < self.fleet.arrival[:, None])
+                | (slot > self.fleet.departure[:, None]))
             if outside.any():
                 idx = int(np.flatnonzero(outside.any(axis=1))[0])
                 raise ConfigError(
@@ -167,7 +167,7 @@ class PassCache:
         self.vehicles: Dict[int, list] = {}
         windows: Dict[tuple, list] = {}  # shared by the users of a window
         users = list(range(len(state.fleet)) if users is None else users)
-        lps = vehicle_lps([state.fleet[idx] for idx in users], pev[users],
+        lps = vehicle_lps(state.fleet.take(users), pev[users],
                           state.realized_upto)
         for idx, lp in zip(users, lps):
             free = lp.free
@@ -199,18 +199,17 @@ def cap_value(household_total, fleet: Sequence[PevProfile],
 
     The mean is conservation-based -- households plus every vehicle's
     required energy spread over the day -- so it does not depend on how the
-    fleet ends up scheduled.
+    fleet ends up scheduled. ``fleet`` is read through ``as_fleet``.
     """
     if kappa is None:
         return None
     # run.kappa's declared range; the other run settings keep defaults
     check_ranges(CaseConfig(kappa=kappa), "run")
     hh = as_profile(household_total)
-    total = float(hh.sum()) + sum(p.required_energy for p in fleet)
+    # a left fold in fleet order, which np.sum's pairwise sum is not
+    total = float(hh.sum()) + sum(as_fleet(fleet).required.tolist())
     cap = kappa * total / N_SLOTS
     if not math.isfinite(cap):
-        for prof in fleet:  # a bad profile, not kappa, is then to blame
-            prof.validate()
         raise ConfigError(f"run.kappa {kappa!r} is too large: the cap, kappa "
                           f"times the day's mean demand of "
                           f"{total / N_SLOTS:.6g} kWh, overflows")
@@ -290,7 +289,8 @@ def _sweep_until_settled(state: ScheduleState, conv: ConvergenceSpec, *,
     prev = state.pev.copy()
     for _ in range(conv.max_sweeps):
         best_response_pass(state, cache=cache, **pass_kwargs)
-        trace.append(float(np.mean((state.pev - prev) ** 2)))
+        trace.append(float(np.mean((state.pev - prev) ** 2))
+                     if state.pev.size else 0.0)  # no plans: nothing moves
         if trace[-1] < conv.mse_tol:
             break
         prev = state.pev.copy()
@@ -305,9 +305,12 @@ def shape_day_ahead(state: ScheduleState, conv: ConvergenceSpec, *,
     preceded it (the zero initial plan before sweep 1).
     """
     conv.validate()
-    if cap is not None and np.any(state.household_total > cap + 1e-9):
+    hh = state.household_total
+    over = [] if cap is None else np.flatnonzero(hh > cap + 1e-9)
+    if len(over):
         raise InfeasibleError(
-            "demand cap lies below firm household demand",
+            f"demand cap {cap:.3f} kWh lies below firm household demand of "
+            f"{hh[over[0]]:.3f} kWh at slot {over[0] + 1}",
             constraint="demand cap")
     return _sweep_until_settled(state, conv, lam=1.0, cap=cap)
 
@@ -316,8 +319,8 @@ def connected_users(state: ScheduleState, slot: int) -> List[int]:
     """Fleet rows plugged in at ``slot`` with that slot still unfrozen."""
     if slot <= state.realized_upto:
         return []
-    return [idx for idx, prof in enumerate(state.fleet)
-            if prof.arrival_slot <= slot <= prof.departure_slot]
+    on = (state.fleet.arrival <= slot) & (slot <= state.fleet.departure)
+    return np.flatnonzero(on).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +391,7 @@ def shape_fleet(fleet: Sequence[PevProfile], household_total,
     Reads nothing but its arguments, so one shaping per distinct cap can
     run anywhere, even in another process.
     """
-    state = ScheduleState(fleet=list(fleet), household_total=household_total,
+    state = ScheduleState(fleet=fleet, household_total=household_total,
                           da_profile=da_profile)
     trace = shape_day_ahead(state, conv, cap=cap)
     state.pev.setflags(write=False)
@@ -408,7 +411,7 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
     """
     case.validate()
     cap = shaped.cap
-    state = ScheduleState(fleet=list(fleet), household_total=household_total,
+    state = ScheduleState(fleet=fleet, household_total=household_total,
                           da_profile=market.da_profile, pev=shaped.pev)
     da_agg = state.aggregate
     altered = real_time_walk(state, market, case, cap=cap) if altering else []

@@ -57,6 +57,18 @@ def _finite_number(v) -> bool:
         return False
 
 
+# each PevProfile field: what it holds, its Fleet column's dtype, and a test
+# of its Python type, as numpy reads 2.5 as 2, True as 1 and "no" as True
+_INT = "an int", np.int64, lambda t: (issubclass(t, (int, np.integer))
+                                      and t is not bool)
+_NUMBER = "a number", float, lambda t: (issubclass(
+    t, (int, float, np.integer, np.floating)) and t is not bool)
+_FIELD_TYPES = {"user_id": _INT, "arrival_slot": _INT, "departure_slot": _INT,
+                "required_energy": _NUMBER, "capacity": _NUMBER,
+                "initial_soc": _NUMBER, "rate": _NUMBER,
+                "v2g": ("a bool", bool, lambda t: t in (bool, np.bool_))}
+
+
 def _range_test(rule: str) -> Callable[[object], bool]:
     """The test a declared range names: ``positive``, ``>= a``, ``> a``,
     ``in a..b`` (whole numbers) or an interval such as ``in (0, 1]``.
@@ -113,7 +125,7 @@ class PevProfile:
     """One plug-in EV user: connection window, energy need and battery data.
 
     Attributes:
-        user_id: positive integer label, unique within a fleet.
+        user_id: positive integer label, unique within a fleet (as_fleet).
         arrival_slot: first connected slot (1..24).
         departure_slot: last connected slot (arrival_slot..24): a window is
             contiguous and never wraps past the end of the scheduling day.
@@ -134,8 +146,13 @@ class PevProfile:
     v2g: bool = True
 
     def validate(self) -> None:
-        if self.user_id < 1:
-            raise ConfigError(f"user_id must be >= 1, got {self.user_id}")
+        for name, (kind, _, test) in _FIELD_TYPES.items():
+            if not test(type(v := getattr(self, name))):
+                raise ConfigError(f"{name} must be {kind}, got {v!r} "
+                                  f"(user {self.user_id!r})")
+        if not 1 <= self.user_id < 2**63:  # a Fleet's ids are int64
+            raise ConfigError(f"user_id must be in 1..2**63-1, got "
+                              f"{self.user_id}")
         for name in ("arrival_slot", "departure_slot"):
             v = getattr(self, name)
             if not 1 <= v <= N_SLOTS:
@@ -181,6 +198,53 @@ class PevProfile:
     def window_slots(self) -> List[int]:
         """Connected slots in causal order (arrival first), 1-based."""
         return list(range(self.arrival_slot, self.departure_slot + 1))
+
+
+class Fleet(tuple):
+    """A fleet's profiles as :func:`as_fleet` checks and lays them out: each
+    field is also a column, int64 ``user_id``, ``arrival`` and
+    ``departure``, float ``required``, ``capacity``, ``soc0`` and ``rate``,
+    and bool ``v2g``."""
+
+    def take(self, rows: List[int]) -> Fleet:
+        """The fleet of the profiles at ``rows``, distinct indices."""
+        part = Fleet(map(self.__getitem__, rows))
+        part.__dict__.update((k, v[rows]) for k, v in vars(self).items())
+        return part
+
+
+def as_fleet(profiles: Sequence[PevProfile]) -> Fleet:
+    """``profiles`` as a :class:`Fleet`; a fleet comes back as it is.
+
+    Anything else is checked once. numpy's columns are trusted only when
+    every field's Python type passes, and then :func:`invalid_rows` checks
+    them; else the first profile in fleet order that ``validate()`` rejects
+    raises its error. Then a repeated user id is named.
+    """
+    if isinstance(profiles, Fleet):
+        return profiles
+    fleet, kinds = Fleet(profiles), _FIELD_TYPES.values()
+    columns = list(zip(*[(p.user_id, p.arrival_slot, p.departure_slot,
+                          p.required_energy, p.capacity, p.initial_soc,
+                          p.rate, p.v2g) for p in fleet])) or [()] * 8
+    try:
+        arrays = [np.array(c, dtype)
+                  for c, (_, dtype, _) in zip(columns, kinds)]
+        typed = all(test(t) for c, (*_, test) in zip(columns, kinds)
+                    for t in set(map(type, c)))
+    except (TypeError, ValueError, OverflowError):  # numpy refused a value
+        typed = False
+    if not typed or invalid_rows(*arrays[:7]).any():
+        for prof in fleet:  # validate() rejects whatever failed above
+            prof.validate()
+    order = arrays[0].argsort(kind="stable")
+    repeats = order[1:][np.diff(arrays[0][order]) == 0]  # each after its first
+    if repeats.size:
+        raise ConfigError(f"user {arrays[0][repeats.min()]}: user_id taken "
+                          "by an earlier profile; ids must be unique")
+    fleet.__dict__.update(zip("user_id arrival departure required capacity "
+                              "soc0 rate v2g".split(), arrays))
+    return fleet
 
 
 # ---------------------------------------------------------------------------
@@ -538,18 +602,16 @@ def uncoordinated_profile(fleet: Sequence[PevProfile]) -> np.ndarray:
 
     The fleet charges together, one slot at a time. Each slot's loads are
     added in fleet order by a running sum, so the total has the bits of
-    adding the vehicles' schedules one after another.
+    adding the vehicles' schedules one after another. ``fleet`` is read
+    through :func:`as_fleet`.
     """
-    n = len(fleet)
-    # only compared, so read as given: a slot past int64 reaches validate()
-    start = np.array([p.arrival_slot - 1 for p in fleet])
-    stop = np.array([p.departure_slot for p in fleet])
-    rate = np.fromiter((p.rate for p in fleet), float, n)
-    remaining = np.fromiter((p.required_energy for p in fleet), float, n)
+    fleet = as_fleet(fleet)
+    start, stop = fleet.arrival - 1, fleet.departure
+    remaining = fleet.required.copy()
     agg = np.zeros(N_SLOTS)
     for t in range(N_SLOTS):
         live = (start <= t) & (t < stop) & (remaining > 1e-12)
-        amount = np.minimum(rate[live], remaining[live])
+        amount = np.minimum(fleet.rate[live], remaining[live])
         remaining[live] -= amount
         if amount.size:
             agg[t] = np.cumsum(amount)[-1]

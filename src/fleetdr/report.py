@@ -21,8 +21,8 @@ import numpy as np
 from .coordinator import (CaseConfig, DayResult, cap_value, shape_fleet,
                           simulate_day)
 from .errors import DataError
-from .fleet import (N_SLOTS, PevProfile, as_profile, uncoordinated_profile,
-                    write_csv, write_slot_csv)
+from .fleet import (N_SLOTS, PevProfile, as_fleet, as_profile,
+                    uncoordinated_profile, write_csv, write_slot_csv)
 from .market import MarketDay, CostBreakdown, procurement_cost
 
 CASE_LABELS = {
@@ -168,10 +168,12 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     ``kappa`` is set, a forked worker shapes under the cap while this
     process shapes without it and runs cases 2 and 3; case 4 then walks
     from the worker's plans, or raises the worker's exception. Each case's
-    ``simulate_day`` call stays in this process, in case order.
+    ``simulate_day`` call stays in this process, in case order. All read
+    the one :func:`~fleetdr.fleet.as_fleet` layout of the fleet made here.
     """
     config = config if config is not None else CaseConfig()
     config.validate()
+    fleet = as_fleet(fleet)
     hh = as_profile(household_total)
 
     dumb = hh + uncoordinated_profile(fleet)

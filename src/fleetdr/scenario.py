@@ -76,6 +76,9 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         self.fleet.validate()
+        if self.fleet.n_users == 0:
+            raise ConfigError("fleet.n_users is 0: a day needs at least one "
+                              "vehicle to schedule and to buy for")
         self.households.validate()
         if (self.market_synth is None) == (self.market_files is None):
             raise ConfigError("market: exactly one of market.synthetic and "
@@ -291,9 +294,6 @@ def purchase_profile(fleet: List[PevProfile], household_total,
     bid into slots the fleet cannot reach would be a guaranteed miss.
     """
     spec.validate()
-    if not fleet:
-        raise ConfigError("fleet.n_users is 0: an empty fleet is connected "
-                          "at no slot, so there is nothing to buy for")
     hh = as_profile(household_total)
     counts = connection_counts(fleet)
     mask = counts >= spec.coverage * len(fleet)

@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .fleet import N_SLOTS, PevProfile, as_profile, invalid_rows
+from .fleet import N_SLOTS, PevProfile, as_fleet, as_profile
 
 FEAS_TOL = 1e-7
 SOC_FLOOR_FRACTION = 0.2
@@ -114,15 +114,15 @@ class VehicleLp(NamedTuple):
     box: Box  # the rate box, before any cap
 
 
-def vehicle_lps(profiles: Sequence[PevProfile], plans: np.ndarray,
+def vehicle_lps(fleet: Sequence[PevProfile], plans: np.ndarray,
                 realized_upto: int) -> List[VehicleLp]:
-    """Derive the LP of each of ``profiles`` once day slots
+    """Derive the LP of each vehicle of ``fleet`` once day slots
     1..``realized_upto`` of its row of ``plans`` (one (24,) row per
-    profile) are fixed.
+    vehicle) are fixed.
 
-    Vehicles that agree on slot count, rate and V2G flag share one rate
-    box; the solver never writes to a box. A profile that
-    :meth:`~fleetdr.fleet.PevProfile.validate` rejects raises its error.
+    ``fleet`` is read through :func:`~fleetdr.fleet.as_fleet`. Vehicles
+    that agree on slot count, rate and V2G flag share one rate box; the
+    solver never writes to a box.
 
     A vehicle's fixed energy is the sum of its realized window slots. The
     rows with as many realized slots are summed as one contiguous block,
@@ -130,31 +130,23 @@ def vehicle_lps(profiles: Sequence[PevProfile], plans: np.ndarray,
     slots alone, so every field has the bits a one-vehicle derivation
     gives.
     """
-    arrival = np.array([p.arrival_slot for p in profiles], dtype=np.intp)
-    departure = np.array([p.departure_slot for p in profiles], dtype=np.intp)
-    required = np.array([p.required_energy for p in profiles], float)
-    capacity = np.array([p.capacity for p in profiles], float)
-    soc0 = np.array([p.initial_soc for p in profiles], float)
-    bad = invalid_rows(np.array([p.user_id for p in profiles]), arrival,
-                       departure, required, capacity, soc0,
-                       np.array([p.rate for p in profiles], float))
-    for row in np.flatnonzero(bad).tolist():
-        profiles[row].validate()
+    fleet = as_fleet(fleet)
+    arrival, departure = fleet.arrival, fleet.departure
     # the realized window slots of each vehicle
     done = np.clip(realized_upto + 1 - arrival, 0, departure + 1 - arrival)
-    delivered = np.zeros(len(profiles))  # no history sums to +0.0
+    delivered = np.zeros(len(fleet))  # no history sums to +0.0
     for d in set(done.tolist()) - {0}:
         rows = np.flatnonzero(done == d)
         block = plans[rows[:, None], arrival[rows, None] - 1 + np.arange(d)]
         delivered[rows] = block.sum(axis=1)
-    soc_start = soc0 + delivered
-    owed = required - delivered
+    soc_start = fleet.soc0 + delivered
+    owed = fleet.required - delivered
     boxes: Dict[tuple, Box] = {}
     lps = []
     for prof, start, target, floor, ceiling in zip(
-            profiles, (arrival - 1 + done).tolist(), owed.tolist(),
-            (SOC_FLOOR_FRACTION * capacity - soc_start).tolist(),
-            (capacity - soc_start).tolist()):
+            fleet, (arrival - 1 + done).tolist(), owed.tolist(),
+            (SOC_FLOOR_FRACTION * fleet.capacity - soc_start).tolist(),
+            (fleet.capacity - soc_start).tolist()):
         stop = prof.departure_slot  # the free slots are start:stop
         k = stop - start
         key = (k, prof.rate, prof.v2g)

@@ -362,14 +362,33 @@ def test_a_fleet_numpy_cannot_lay_out_is_refused_before_any_array(tmp_path):
     assert peak < 2 ** 20
 
 
-def test_an_empty_fleet_exits_config_naming_n_users(tmp_path, capsys):
-    cfg = reference_day_with(tmp_path, "fleet.n_users", 0)
-    code = main(["compare-cases", "--config", cfg,
-                 "--out", str(tmp_path / "o")])
+def empty_fleet_config(tmp_path, source):
+    """A config of no vehicles, with a synthetic market or a bundle."""
+    if source == "synthetic":
+        return reference_day_with(tmp_path, "fleet.n_users", 0)
+    path, _ = flat_day_from_files(tmp_path)
+    with open(path) as fh:
+        raw = yaml.safe_load(fh)
+    raw["fleet"]["n_users"] = 0
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
+    return path
+
+
+@pytest.mark.filterwarnings("error")  # else pytest keeps them off stderr
+@pytest.mark.parametrize("source", ["synthetic", "files"])
+@pytest.mark.parametrize("command", ["gen-fleet", "simulate",
+                                     "compare-cases"])
+def test_an_empty_fleet_exits_config_naming_n_users(tmp_path, capsys,
+                                                    command, source):
+    cfg = empty_fleet_config(tmp_path, source)
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "fleet.n_users" in err
-    assert "coverage" not in err
+    assert "coverage" not in err and "Warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, message", [

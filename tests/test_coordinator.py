@@ -217,11 +217,15 @@ def test_shaping_respects_demand_cap():
 
 
 def test_shaping_rejects_cap_below_households():
-    state = ScheduleState(fleet=[make_profile()],
-                          household_total=np.full(24, 5.0),
+    hh = np.full(24, 3.0)
+    hh[6:9] = [5.0, 4.5, 5.5]  # above the cap from slot 7 on
+    state = ScheduleState(fleet=[make_profile()], household_total=hh,
                           da_profile=np.zeros(24))
-    with pytest.raises(InfeasibleError, match="cap"):
+    with pytest.raises(InfeasibleError, match=(
+            r"^\[demand cap\] demand cap 4\.000 kWh lies below firm household "
+            r"demand of 5\.000 kWh at slot 7$")) as err:
         shape_day_ahead(state, ConvergenceSpec(), cap=4.0)
+    assert err.value.constraint == "demand cap"
 
 
 def test_reference_day_cap_blocked_vehicle_names_the_cap(reference_scenario,

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 import re
 import warnings
 
@@ -15,6 +16,7 @@ from fleetdr.fleet import (
     FleetSpec,
     HouseholdSpec,
     PevProfile,
+    as_fleet,
     as_profile,
     baseline_household,
     hour_to_slot,
@@ -98,10 +100,56 @@ def test_validate_accepts_sane_profile():
     dict(rate=float("inf")),
     dict(capacity=float("inf")),
     dict(arrival_slot=22, departure_slot=3),  # wraps past the day's end
+    # numpy would read each of these as a valid value
+    dict(arrival_slot=2.5),
+    dict(departure_slot=True),
+    dict(user_id=2**63),
+    dict(rate="2"),
+    dict(v2g="no"),
+    dict(v2g=None),
 ])
 def test_validate_rejects(kw):
     with pytest.raises(ConfigError):
         make_profile(**kw).validate()
+
+
+def test_a_fleet_lays_its_profiles_out_once_as_typed_columns():
+    profiles = [make_profile(user_id=7, v2g=True),
+                make_profile(user_id=2, arrival_slot=3, rate=3)]
+    fleet = as_fleet(profiles)
+    assert as_fleet(fleet) is fleet
+    assert len(fleet) == 2 and fleet[1] is profiles[1]
+    want = {"user_id": [7, 2], "arrival": [5, 3], "departure": [20, 20],
+            "required": [9.0, 9.0], "capacity": [24.0, 24.0],
+            "soc0": [8.4, 8.4], "rate": [1.8, 3.0], "v2g": [True, False]}
+    for name, values in want.items():
+        column = getattr(fleet, name)
+        assert column.tolist() == values, name
+        assert column.dtype == (np.int64 if name in ("user_id", "arrival",
+                                                      "departure")
+                                else bool if name == "v2g" else float)
+    part = fleet.take([1])
+    assert list(part) == [profiles[1]] and part.user_id.tolist() == [2]
+    assert part.rate.tolist() == [3.0] and part.take([]).v2g.size == 0
+    copy = pickle.loads(pickle.dumps(fleet))
+    assert list(copy) == profiles and copy.v2g.tolist() == [True, False]
+    assert len(as_fleet([])) == 0 and as_fleet([]).arrival.dtype == np.int64
+
+
+@pytest.mark.parametrize("first, second", [
+    (dict(arrival_slot=0), dict(v2g="no")),
+    (dict(v2g="no"), dict(arrival_slot=0)),
+])
+def test_a_fleet_raises_validate_error_of_its_first_bad_profile(first,
+                                                                 second):
+    profiles = [make_profile(user_id=1), make_profile(user_id=2, **first),
+                make_profile(user_id=3, **second)]
+    with pytest.raises(ConfigError) as expected:
+        profiles[1].validate()
+    with pytest.raises(ConfigError) as err:
+        as_fleet(profiles)
+    assert str(err.value) == str(expected.value)
+    assert "(user 2)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from conftest import REFERENCE_YAML
 from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
+import fleetdr.fleet
 import fleetdr.report as report
+import fleetdr.subproblem as subproblem
 from fleetdr.coordinator import (ConvergenceSpec, DayResult, ScheduleState,
                                  cap_value, shape_day_ahead, shape_fleet,
                                  simulate_day)
@@ -184,7 +186,9 @@ def test_run_cases_no_kappa_degenerates_case4_to_case3():
 @pytest.mark.parametrize("field, value", [
     ("arrival_slot", 0), ("departure_slot", 25), ("capacity", -5.0),
     ("user_id", 0), ("rate", 0.0), ("required_energy", float("nan")),
-    ("arrival_slot", 2**70)])
+    ("arrival_slot", 2**70), ("arrival_slot", 2.5), ("departure_slot", 20.5),
+    ("user_id", 1.5), ("v2g", "no"), ("v2g", None), ("rate", "2"),
+    ("arrival_slot", True)])
 def test_run_cases_refuses_a_hand_built_profile_validate_rejects(field,
                                                                  value):
     fleet, hh, market = build_inputs()
@@ -194,6 +198,46 @@ def test_run_cases_refuses_a_hand_built_profile_validate_rejects(field,
     with pytest.raises(ConfigError) as err:
         run_cases(fleet, hh, market, CaseConfig(kappa=3.0))
     assert str(err.value) == str(expected.value)
+
+
+def test_a_repeated_user_id_is_refused_naming_it():
+    fleet, hh, market = build_inputs()
+    fleet[5] = dataclasses.replace(fleet[5], user_id=3)
+    fleet[9] = dataclasses.replace(fleet[9], user_id=2)
+    # the first profile in fleet order whose id an earlier one holds
+    message = (r"^user 3: user_id taken by an earlier profile; ids must be "
+               r"unique$")
+    with pytest.raises(ConfigError, match=message):
+        run_cases(fleet, hh, market, CaseConfig(kappa=3.0))
+    with pytest.raises(ConfigError, match=message):
+        shape_fleet(fleet, hh, market.da_profile, ConvergenceSpec())
+
+
+def test_the_fleet_is_checked_once_per_run_in_this_process(monkeypatch,
+                                                          event_log):
+    fleet, hh, market = build_inputs()
+    # wherever a caller looks the mask up, each call is logged
+    for module in (fleetdr.fleet, subproblem, coordinator, report):
+        inner = getattr(module, "invalid_rows", None)
+        if inner is not None:
+            def counted(*args, inner=inner):
+                event_log.add("checked in", os.getpid())
+                return inner(*args)
+            monkeypatch.setattr(module, "invalid_rows", counted)
+    log_shaping_pids(monkeypatch, event_log)
+    run_cases(fleet, hh, market, CaseConfig(kappa=3.0))
+    assert len(set(event_log.values("shaped in"))) == 2  # the worker ran
+    assert event_log.values("checked in") == [os.getpid()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_cases_on_no_vehicles_settles_at_once():
+    _, hh, market = build_inputs()
+    comp = run_cases([], hh, market, CaseConfig(kappa=3.0))
+    for case in (2, 3, 4):
+        assert comp.get(case).da_mse_trace == [0.0]
+        assert comp.get(case).converged
+        assert np.array_equal(comp.get(case).aggregate, hh)
 
 
 def test_run_cases_cap_binds_case4():
