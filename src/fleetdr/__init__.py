@@ -9,9 +9,9 @@ from .market import (CostBreakdown, MarketDay, MarketSpec, PriceSeries,
                      SpikeSpec, load_market_day, procurement_cost,
                      synth_prices, water_fill)
 from .coordinator import (ConvergenceSpec, DayResult, ScheduleState,
-                          ShapedPlans, cap_value, decide_altering,
-                          real_time_walk, shape_day_ahead, shape_fleet,
-                          simulate_day)
+                          ShapedPlans, WalkedPlans, cap_value,
+                          decide_altering, real_time_walk, shape_day_ahead,
+                          shape_fleet, simulate_day, walk_fleet)
 from .subproblem import (SubproblemSolution, UserSubproblem,
                          build_subproblem, solve)
 from .report import CaseComparison, CaseConfig, CaseResult, emit, run_cases

@@ -16,6 +16,13 @@ The coordination game is played in two phases over a 24-slot day:
 One :class:`CaseConfig` holds every run setting of the day, from a
 scenario file's ``run`` section down to the walk, which checks it once.
 
+Each phase is one call that reads nothing but its arguments:
+:func:`shape_fleet` gives :class:`ShapedPlans`, and :func:`walk_fleet`
+walks them into :class:`WalkedPlans`. So one process can shape under a
+cap and walk from those plans while another runs the uncapped cases.
+:func:`simulate_day` turns either kind of plans into one case's
+:class:`DayResult` in the caller's process, and checks the cap there.
+
 A fleet-wide demand cap (the decarbonization limit) can be threaded through
 both phases: each vehicle's upper bounds shrink to the head-room the cap
 leaves after everyone else, which keeps the aggregate under the cap by
@@ -389,7 +396,8 @@ def shape_fleet(fleet: Sequence[PevProfile], household_total,
     """Shape everyone's day-ahead plan from zero under ``cap``.
 
     Reads nothing but its arguments, so one shaping per distinct cap can
-    run anywhere, even in another process.
+    run anywhere, even in another process, and hand its plans on to
+    :func:`walk_fleet` there.
     """
     state = ScheduleState(fleet=fleet, household_total=household_total,
                           da_profile=da_profile)
@@ -398,24 +406,63 @@ def shape_fleet(fleet: Sequence[PevProfile], household_total,
     return ShapedPlans(pev=state.pev, mse_trace=tuple(trace), cap=cap)
 
 
-def simulate_day(fleet: Sequence[PevProfile], household_total,
-                 market: MarketDay, case: CaseConfig, shaped: ShapedPlans,
-                 *, altering: bool = True) -> DayResult:
-    """One coordination case's day: walk it in real time from a copy of
-    the plans :func:`shape_fleet` shaped, under their cap.
+@dataclass(frozen=True, eq=False)
+class WalkedPlans:
+    """Everyone's plan after the real-time walk from ``shaped``.
 
-    ``shaped`` must come from :func:`shape_fleet` on the same fleet,
-    households, purchase and ``case.conv``. With ``altering=False`` no slot
-    replans: the day keeps the shaped plans and no walk runs. ``case`` is
-    checked first.
+    ``pev`` is read-only: every day built from it holds its own copy.
     """
-    case.validate()
-    cap = shaped.cap
+
+    shaped: ShapedPlans
+    pev: np.ndarray
+    altered_slots: Tuple[int, ...]
+
+
+def walk_fleet(fleet: Sequence[PevProfile], household_total,
+               market: MarketDay, case: CaseConfig,
+               shaped: ShapedPlans) -> WalkedPlans:
+    """Walk the day in real time from a copy of the plans ``shaped``
+    holds, under their cap.
+
+    Like :func:`shape_fleet`, it reads nothing but its arguments, so a
+    process that shapes under a cap can walk from its plans too.
+    """
     state = ScheduleState(fleet=fleet, household_total=household_total,
                           da_profile=market.da_profile, pev=shaped.pev)
-    da_agg = state.aggregate
-    altered = real_time_walk(state, market, case, cap=cap) if altering else []
+    altered = real_time_walk(state, market, case, cap=shaped.cap)
+    state.pev.setflags(write=False)
+    return WalkedPlans(shaped=shaped, pev=state.pev,
+                       altered_slots=tuple(altered))
+
+
+def simulate_day(fleet: Sequence[PevProfile], household_total,
+                 market: MarketDay, case: CaseConfig,
+                 plans: ShapedPlans | WalkedPlans, *,
+                 altering: bool = True) -> DayResult:
+    """One coordination case's day, from the plans :func:`shape_fleet`
+    shaped under their cap.
+
+    Given :class:`ShapedPlans`, the day walks them here through
+    :func:`walk_fleet`, or with ``altering=False`` keeps them: no slot
+    replans and no walk runs. Given :class:`WalkedPlans`, the day takes
+    that walk as it is. Either way the day-ahead aggregate comes from the
+    shaped plans, and the cap is checked here. The plans must come from
+    the same fleet, households, market and ``case``. ``case`` is checked
+    first.
+    """
+    case.validate()
+    if isinstance(plans, WalkedPlans):
+        walked = plans
+    elif altering:
+        walked = walk_fleet(fleet, household_total, market, case, plans)
+    else:
+        walked = WalkedPlans(shaped=plans, pev=plans.pev, altered_slots=())
+    shaped = walked.shaped
+    state = ScheduleState(fleet=fleet, household_total=household_total,
+                          da_profile=market.da_profile, pev=walked.pev)
+    da_agg = state.household_total + shaped.pev.sum(axis=0)
     agg = state.aggregate
+    cap = shaped.cap
     if cap is not None and np.any(agg > cap + 1e-6):
         worst = int(np.argmax(agg)) + 1
         raise InfeasibleError(
@@ -423,5 +470,6 @@ def simulate_day(fleet: Sequence[PevProfile], household_total,
             f"({agg[worst - 1]:.6f} > {cap:.6f})", constraint="demand cap")
     trace = list(shaped.mse_trace)
     return DayResult(pev=state.pev, aggregate=agg, da_aggregate=da_agg,
-                     da_mse_trace=trace, altered_slots=altered,
+                     da_mse_trace=trace,
+                     altered_slots=list(walked.altered_slots),
                      converged=trace[-1] < case.conv.mse_tol)

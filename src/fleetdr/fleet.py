@@ -163,11 +163,10 @@ class PevProfile:
                 f"user {self.user_id}: charging window wraps past the end of "
                 "the scheduling day; shift fleet.day_start_hour so every "
                 "window fits inside one day")
-        # one sum is non-finite exactly when a term is (or it overflows)
-        if not math.isfinite(self.required_energy + self.capacity
-                             + self.initial_soc + self.rate):
-            raise ConfigError(f"required_energy, capacity, initial_soc and "
-                              f"rate must be finite (user {self.user_id})")
+        for name in ("required_energy", "capacity", "initial_soc", "rate"):
+            if not _finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite (user "
+                                  f"{self.user_id})")
         if self.capacity <= 0:
             raise ConfigError(f"capacity must be positive (user {self.user_id})")
         if self.rate <= 0:

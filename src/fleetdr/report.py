@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .coordinator import (CaseConfig, DayResult, cap_value, shape_fleet,
-                          simulate_day)
+                          simulate_day, walk_fleet)
 from .errors import DataError
 from .fleet import (N_SLOTS, PevProfile, as_fleet, as_profile,
                     uncoordinated_profile, write_csv, write_slot_csv)
@@ -163,13 +163,15 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     imbalance settles exactly the real-time deviations that case makes;
     the uncoordinated case buys everything in real time.
 
-    Shaping runs once per distinct cap: cases 2 and 3 (and case 4 when
-    ``kappa`` is None) walk from copies of the same shaped plans. When
-    ``kappa`` is set, a forked worker shapes under the cap while this
-    process shapes without it and runs cases 2 and 3; case 4 then walks
-    from the worker's plans, or raises the worker's exception. Each case's
-    ``simulate_day`` call stays in this process, in case order. All read
-    the one :func:`~fleetdr.fleet.as_fleet` layout of the fleet made here.
+    Shaping runs once per distinct cap, and so does the walk: cases 2 and
+    3 share one shaping. When ``kappa`` is set, a forked worker shapes
+    under the cap and walks case 4 from those plans, while this process
+    shapes without the cap and runs cases 2 and 3; case 4 then takes the
+    worker's walk, or raises the worker's exception. When ``kappa`` is
+    None, case 4 takes case 3's walk, which runs once. Each case's
+    ``simulate_day`` call stays in this process, in case order, and checks
+    that case's cap here. All read the one :func:`~fleetdr.fleet.as_fleet`
+    layout of the fleet made here.
     """
     config = config if config is not None else CaseConfig()
     config.validate()
@@ -181,8 +183,8 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     results = [CaseResult(1, CASE_LABELS[1], _priced(market, zero, dumb),
                           dumb, zero, [], [])]
 
-    def walk(case, shaped, altering=True):
-        day = simulate_day(fleet, hh, market, config, shaped,
+    def add_case(case, plans, altering=True):
+        day = simulate_day(fleet, hh, market, config, plans,
                            altering=altering)
         results.append(CaseResult(
             case, CASE_LABELS[case],
@@ -191,14 +193,24 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
             list(day.altered_slots), day.converged))
 
     cap = cap_value(hh, fleet, config.kappa)
-    with (_forked(shape_fleet, fleet, hh, market.da_profile, config.conv,
-                  cap=cap) if cap is not None else nullcontext()) as capped:
+
+    def capped_walk():  # case 4's plans, shaped and walked under the cap
+        return walk_fleet(fleet, hh, market, config, shape_fleet(
+            fleet, hh, market.da_profile, config.conv, cap=cap))
+
+    with (_forked(capped_walk) if cap is not None
+          else nullcontext()) as capped:
         uncapped = shape_fleet(fleet, hh, market.da_profile, config.conv)
-        walk(2, uncapped, altering=False)
-        walk(3, uncapped)
-        shaped = uncapped if capped is None else capped()
-        shaped.pev.setflags(write=False)  # the worker's come back writable
-        walk(4, shaped)
+        add_case(2, uncapped, altering=False)
+        if capped is None:  # case 4 is case 3, so one walk serves both
+            walked = walk_fleet(fleet, hh, market, config, uncapped)
+            add_case(3, walked)
+        else:
+            add_case(3, uncapped)
+            walked = capped()
+            for pev in (walked.pev, walked.shaped.pev):
+                pev.setflags(write=False)  # the worker's come back writable
+        add_case(4, walked)
 
     deltas = {}
     for i, a in enumerate(results):

@@ -24,6 +24,7 @@ from test_acceptance import REFERENCE_DIGESTS
 
 import fleetdr.coordinator as coordinator
 import fleetdr.report as report
+from fleetdr.coordinator import WalkedPlans
 from fleetdr.scenario import build_scenario, load_config
 
 PERFBENCH = os.path.join(REPO_ROOT, "perfbench")
@@ -71,7 +72,9 @@ def test_pacing_and_day_capture_see_every_call(monkeypatch, event_log,
     simulate_day = report.simulate_day
 
     def keep_plans(*args, **kwargs):
-        plans.append(args[4])
+        given = args[4]  # a walk's plans name the shaping it started from
+        plans.append(given.shaped if isinstance(given, WalkedPlans)
+                     else given)
         return simulate_day(*args, **kwargs)
 
     monkeypatch.setattr(report, "simulate_day", keep_plans)

@@ -15,8 +15,8 @@ import fleetdr.fleet
 import fleetdr.report as report
 import fleetdr.subproblem as subproblem
 from fleetdr.coordinator import (ConvergenceSpec, DayResult, ScheduleState,
-                                 cap_value, shape_day_ahead, shape_fleet,
-                                 simulate_day)
+                                 WalkedPlans, cap_value, shape_day_ahead,
+                                 shape_fleet, simulate_day, walk_fleet)
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import Dist, FleetSpec, N_SLOTS, sample_fleet
 from fleetdr.market import (
@@ -188,7 +188,9 @@ def test_run_cases_no_kappa_degenerates_case4_to_case3():
     ("user_id", 0), ("rate", 0.0), ("required_energy", float("nan")),
     ("arrival_slot", 2**70), ("arrival_slot", 2.5), ("departure_slot", 20.5),
     ("user_id", 1.5), ("v2g", "no"), ("v2g", None), ("rate", "2"),
-    ("arrival_slot", True)])
+    ("arrival_slot", True), ("capacity", 10**400),
+    ("required_energy", 10**400), ("initial_soc", 10**400),
+    ("rate", 10**400)])
 def test_run_cases_refuses_a_hand_built_profile_validate_rejects(field,
                                                                  value):
     fleet, hh, market = build_inputs()
@@ -416,6 +418,112 @@ def test_a_capped_day_writes_nothing_to_stdout_or_stderr(capfd, monkeypatch,
     run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
     assert capfd.readouterr() == ("", "")  # the worker's fds are captured too
     assert len(set(event_log.values("shaped in"))) == 2
+
+
+def log_walk_pids(monkeypatch, event_log):
+    """Log the process of every ``real_time_walk`` call under
+    ``"walked in"``."""
+    walk = coordinator.real_time_walk
+
+    def logged(*args, **kwargs):
+        event_log.add("walked in", os.getpid())
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "real_time_walk", logged)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_capped_half_v2g_day_is_silent_and_leaves_no_child(capfd,
+                                                            monkeypatch,
+                                                            event_log):
+    # the benchmark's output contract, with case 4 shaped and walked in the
+    # worker on a day where the simplex runs
+    cfg = half_v2g_config(200)
+    sc = build_scenario(cfg)
+    log_walk_pids(monkeypatch, event_log)
+    capfd.readouterr()
+    run_cases(sc.fleet, sc.household_total, sc.market, cfg.case)
+    assert capfd.readouterr() == ("", "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(set(event_log.values("walked in"))) == 2
+
+
+def test_a_capped_day_walks_once_here_and_once_in_the_worker(monkeypatch,
+                                                             event_log):
+    log_walk_pids(monkeypatch, event_log)
+    run_cases(*build_inputs(), CaseConfig(kappa=1.5, t0_term_scale=1000.0))
+    here, *elsewhere = event_log.values("walked in")
+    assert here == os.getpid()
+    assert len(elsewhere) == 1 and elsewhere[0] != os.getpid()
+
+
+def test_an_uncapped_day_walks_once_and_forks_nothing(monkeypatch,
+                                                      event_log):
+    def no_fork():
+        raise AssertionError("forked without a cap")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    log_walk_pids(monkeypatch, event_log)
+    plans = []
+    keep_days(monkeypatch, plans)
+    run_cases(*build_inputs(), CaseConfig(t0_term_scale=1000.0))
+    assert event_log.values("walked in") == [os.getpid()]
+    # cases 3 and 4 take the one walk
+    assert isinstance(plans[1], WalkedPlans) and plans[2] is plans[1]
+
+
+def test_a_day_given_a_walk_takes_it_as_it_is(monkeypatch, event_log):
+    fleet, hh, market = build_inputs()
+    case = CaseConfig(kappa=1.5, t0_term_scale=1000.0)
+    shaped = shape_fleet(fleet, hh, market.da_profile, case.conv,
+                         cap=cap_value(hh, fleet, case.kappa))
+    want = simulate_day(fleet, hh, market, case, shaped)
+    walked = walk_fleet(fleet, hh, market, case, shaped)
+    log_walk_pids(monkeypatch, event_log)
+    got = simulate_day(fleet, hh, market, case, walked)
+    assert event_log.values("walked in") == []
+    assert want.altered_slots  # the spike replanned
+    for name in ("pev", "aggregate", "da_aggregate"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.da_mse_trace, got.altered_slots, got.converged) == (
+        want.da_mse_trace, want.altered_slots, want.converged)
+    # the day holds its own plans; the walk's stay read-only
+    assert got.pev.flags.writeable and not walked.pev.flags.writeable
+    assert not np.shares_memory(got.pev, walked.pev)
+
+
+def test_a_verdict_in_the_worker_walk_comes_back_as_a_serial_run_gives_it(
+        monkeypatch, event_log):
+    inner = coordinator.best_response_pass
+
+    def refused_in_a_capped_walk(state, *, t0=None, cap=None, **kwargs):
+        if t0 is not None and cap is not None:  # a replan, not shaping
+            event_log.add("refused in", os.getpid())
+            raise InfeasibleError("3.000 kWh owed but 2.500 kWh reachable",
+                                  user_id=int(state.fleet.user_id[0]),
+                                  constraint="demand cap")
+        return inner(state, t0=t0, cap=cap, **kwargs)
+
+    monkeypatch.setattr(coordinator, "best_response_pass",
+                        refused_in_a_capped_walk)
+    inputs = build_inputs()
+    config = CaseConfig(kappa=1.5, t0_term_scale=1000.0)
+    with pytest.raises(InfeasibleError) as forked:
+        run_cases(*inputs, config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    refused = event_log.values("refused in")
+    assert len(refused) == 1 and refused[0] != os.getpid()  # the worker's
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(InfeasibleError) as serial:
+        run_cases(*inputs, config)
+
+    def fields(err):
+        return type(err), str(err), err.user_id, err.constraint, err.detail
+
+    assert fields(forked.value) == fields(serial.value)
+    assert serial.value.user_id == inputs[0][0].user_id
 
 
 def test_a_false_verdict_in_the_worker_reaches_the_caller_unchanged():
