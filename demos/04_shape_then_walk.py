@@ -6,16 +6,17 @@ purchase valleys -- watch the mean-squared plan change collapse.
 
 Phase 2 (real time): the day replays slot by slot. The 21:00 price comes
 in at ten times day-ahead, the trigger fires, and the plugged-in vehicles
-replan their remaining hours away from the spike. We walk the day twice
-from the same shaped plans -- once ignoring the divergence, once
-replanning -- and compare the spike-hour aggregate.
+replan their remaining hours away from the spike. Two days start from
+the same shaped plans: one keeps them, ignoring the divergence, and one
+takes their real-time walk. We compare the spike-hour aggregate.
 
 Finally every vehicle's schedule is audited against its physical limits.
 """
 
 import numpy as np
 
-from fleetdr.coordinator import CaseConfig, shape_fleet, simulate_day
+from fleetdr.coordinator import (CaseConfig, shape_fleet, simulate_day,
+                                 walk_fleet)
 from fleetdr.fleet import (Dist, FleetSpec, HouseholdSpec, baseline_household,
                            sample_fleet)
 from fleetdr.market import MarketDay, MarketSpec, SpikeSpec, synth_prices
@@ -87,7 +88,7 @@ def main():
     case = CaseConfig(t0_term_scale=1000.0)
 
     shaped = shape_fleet(fleet, homes, market.da_profile, case.conv)
-    passive = simulate_day(fleet, homes, market, case, shaped, altering=False)
+    passive = simulate_day(fleet, homes, market, case, shaped)
     print("\nphase 1: day-ahead shaping")
     print("  mean-squared plan change per sweep:",
           "  ".join(f"{m:.3g}" for m in passive.da_mse_trace))
@@ -97,7 +98,8 @@ def main():
 
     chart("shaped demand", passive.da_aggregate, 6.0, mark={SPIKE_SLOT})
 
-    active = simulate_day(fleet, homes, market, case, shaped)
+    walked = walk_fleet(fleet, homes, market, case, shaped)
+    active = simulate_day(fleet, homes, market, case, walked)
     print("\nphase 2: real-time walk")
     rt_ratio = market.rt_prices[SPIKE_SLOT] / market.da_prices[SPIKE_SLOT]
     print(f"  21:00 real-time price is {rt_ratio:.1f}x day-ahead "

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .coordinator import cap_value, shape_fleet, simulate_day
+from .coordinator import cap_value, shape_fleet, simulate_day, walk_fleet
 from .errors import ConfigError, DataError, InfeasibleError
 from .fleet import as_fleet, write_fleet_csv
 from .report import emit, run_cases
@@ -79,8 +79,10 @@ def cmd_simulate(cfg: ScenarioConfig, out: str | None = None,
     cap = cap_value(scenario.household_total, fleet, cfg.case.kappa)
     shaped = shape_fleet(fleet, scenario.household_total,
                          scenario.market.da_profile, cfg.case.conv, cap=cap)
+    walked = walk_fleet(fleet, scenario.household_total, scenario.market,
+                        cfg.case, shaped)
     day = simulate_day(fleet, scenario.household_total, scenario.market,
-                       cfg.case, shaped)
+                       cfg.case, walked)
     emit(day, out_dir, meta=_meta(cfg))
     peak = float(day.aggregate.max())
     print(f"shaping sweeps: {day.da_sweeps}")

@@ -20,8 +20,8 @@ Each phase is one call that reads nothing but its arguments:
 :func:`shape_fleet` gives :class:`ShapedPlans`, and :func:`walk_fleet`
 walks them into :class:`WalkedPlans`. So one process can shape under a
 cap and walk from those plans while another runs the uncapped cases.
-:func:`simulate_day` turns either kind of plans into one case's
-:class:`DayResult` in the caller's process, and checks the cap there.
+:func:`simulate_day` turns either kind of plans, as they are, into one
+case's :class:`DayResult` in the caller's process, and checks the cap there.
 
 A fleet-wide demand cap (the decarbonization limit) can be threaded through
 both phases: each vehicle's upper bounds shrink to the head-room the cap
@@ -141,6 +141,10 @@ class ScheduleState:
                 f"pev matrix shape {self.pev.shape} does not match "
                 f"{len(self.fleet)} users x {N_SLOTS} slots")
         if given:
+            bad = np.flatnonzero(~np.isfinite(self.pev).all(axis=1))
+            if bad.size:
+                raise ConfigError(f"user {self.fleet[bad[0]].user_id}: plan "
+                                  "has a non-finite value")
             # passes only ever write window slots, so a plan must start
             # with nothing outside its window
             slot = np.arange(1, N_SLOTS + 1)
@@ -345,7 +349,7 @@ class ShapedPlans:
 
 @dataclass
 class DayResult:
-    """Everything the real-time walk produced for one case run.
+    """Everything one case's day produced, from shaped or walked plans.
 
     ``converged`` says whether day-ahead shaping settled (its last sweep
     moved plans by less than ``mse_tol``) rather than running out of
@@ -437,26 +441,19 @@ def walk_fleet(fleet: Sequence[PevProfile], household_total,
 
 def simulate_day(fleet: Sequence[PevProfile], household_total,
                  market: MarketDay, case: CaseConfig,
-                 plans: ShapedPlans | WalkedPlans, *,
-                 altering: bool = True) -> DayResult:
-    """One coordination case's day, from the plans :func:`shape_fleet`
-    shaped under their cap.
+                 plans: ShapedPlans | WalkedPlans) -> DayResult:
+    """One coordination case's day, from the plans it is given.
 
-    Given :class:`ShapedPlans`, the day walks them here through
-    :func:`walk_fleet`, or with ``altering=False`` keeps them: no slot
-    replans and no walk runs. Given :class:`WalkedPlans`, the day takes
-    that walk as it is. Either way the day-ahead aggregate comes from the
-    shaped plans, and the cap is checked here. The plans must come from
-    the same fleet, households, market and ``case``. ``case`` is checked
-    first.
+    Given :class:`ShapedPlans`, the day keeps them: no slot replans (case
+    2). Given :class:`WalkedPlans`, the day takes that walk as it is (cases
+    3 and 4). It never walks. Either way the day-ahead aggregate comes from
+    the shaped plans, and their cap is checked here. The plans must come
+    from the same fleet, households, market and ``case``. ``case`` is
+    checked first.
     """
     case.validate()
-    if isinstance(plans, WalkedPlans):
-        walked = plans
-    elif altering:
-        walked = walk_fleet(fleet, household_total, market, case, plans)
-    else:
-        walked = WalkedPlans(shaped=plans, pev=plans.pev, altered_slots=())
+    walked = (plans if isinstance(plans, WalkedPlans)
+              else WalkedPlans(shaped=plans, pev=plans.pev, altered_slots=()))
     shaped = walked.shaped
     state = ScheduleState(fleet=fleet, household_total=household_total,
                           da_profile=market.da_profile, pev=walked.pev)

@@ -163,15 +163,15 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     imbalance settles exactly the real-time deviations that case makes;
     the uncoordinated case buys everything in real time.
 
-    Shaping runs once per distinct cap, and so does the walk: cases 2 and
-    3 share one shaping. When ``kappa`` is set, a forked worker shapes
-    under the cap and walks case 4 from those plans, while this process
-    shapes without the cap and runs cases 2 and 3; case 4 then takes the
-    worker's walk, or raises the worker's exception. When ``kappa`` is
-    None, case 4 takes case 3's walk, which runs once. Each case's
-    ``simulate_day`` call stays in this process, in case order, and checks
-    that case's cap here. All read the one :func:`~fleetdr.fleet.as_fleet`
-    layout of the fleet made here.
+    Shaping runs once per distinct cap, and so does the walk. This
+    process shapes without the cap: case 2 keeps those plans, and case 3
+    walks them once with :func:`~fleetdr.coordinator.walk_fleet`. When
+    ``kappa`` is set, a forked worker meanwhile shapes under the cap and
+    walks from those plans, and case 4 takes the worker's walk, or raises
+    the worker's exception. When ``kappa`` is None, case 4 takes case 3's
+    walk. Each case's ``simulate_day`` call stays in this process, in case
+    order, and checks that case's cap here. All read the one
+    :func:`~fleetdr.fleet.as_fleet` layout of the fleet made here.
     """
     config = config if config is not None else CaseConfig()
     config.validate()
@@ -183,9 +183,8 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     results = [CaseResult(1, CASE_LABELS[1], _priced(market, zero, dumb),
                           dumb, zero, [], [])]
 
-    def add_case(case, plans, altering=True):
-        day = simulate_day(fleet, hh, market, config, plans,
-                           altering=altering)
+    def add_case(case, plans):
+        day = simulate_day(fleet, hh, market, config, plans)
         results.append(CaseResult(
             case, CASE_LABELS[case],
             _priced(market, day.da_aggregate, day.aggregate),
@@ -201,12 +200,10 @@ def run_cases(fleet: List[PevProfile], household_total, market: MarketDay,
     with (_forked(capped_walk) if cap is not None
           else nullcontext()) as capped:
         uncapped = shape_fleet(fleet, hh, market.da_profile, config.conv)
-        add_case(2, uncapped, altering=False)
-        if capped is None:  # case 4 is case 3, so one walk serves both
-            walked = walk_fleet(fleet, hh, market, config, uncapped)
-            add_case(3, walked)
-        else:
-            add_case(3, uncapped)
+        add_case(2, uncapped)
+        walked = walk_fleet(fleet, hh, market, config, uncapped)
+        add_case(3, walked)
+        if capped is not None:  # else case 4 is case 3
             walked = capped()
             for pev in (walked.pev, walked.shaped.pev):
                 pev.setflags(write=False)  # the worker's come back writable

@@ -17,7 +17,7 @@ from oracles import brute_force_oracle
 
 from fleetdr.cli import cmd_compare_cases
 from fleetdr.coordinator import (ScheduleState, cap_value, shape_day_ahead,
-                                 shape_fleet, simulate_day)
+                                 shape_fleet, simulate_day, walk_fleet)
 from fleetdr.errors import InfeasibleError
 from fleetdr.fleet import N_SLOTS, uncoordinated_profile
 from fleetdr.market import MarketDay, procurement_cost
@@ -106,8 +106,11 @@ def test_criterion_2_full_fleet_schedules_obey_constraints(reference_config,
     cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
     shaped = shape_fleet(sc.fleet, sc.household_total, sc.market.da_profile,
                          cfg.case.conv, cap=cap)
+    walked = walk_fleet(sc.fleet, sc.household_total, sc.market, cfg.case,
+                        shaped)
     day = simulate_day(sc.fleet, sc.household_total, sc.market, cfg.case,
-                       shaped)
+                       walked)
+    assert day.altered_slots == [10]  # the audited plans were walked
     assert day.pev.shape == (1000, N_SLOTS)
     for prof, x in zip(sc.fleet, day.pev):
         audit_plan(prof, x, f"user {prof.user_id}", FEAS_TOL_KWH)

@@ -10,6 +10,8 @@ from fleetdr.coordinator import (
     DayResult,
     PassCache,
     ScheduleState,
+    ShapedPlans,
+    WalkedPlans,
     best_response_pass,
     cap_value,
     connected_users,
@@ -18,6 +20,7 @@ from fleetdr.coordinator import (
     shape_day_ahead,
     shape_fleet,
     simulate_day,
+    walk_fleet,
 )
 from fleetdr.errors import ConfigError, InfeasibleError
 from fleetdr.fleet import (
@@ -318,10 +321,12 @@ def test_walk_validates_lam():
 # ---------------------------------------------------------------------------
 # full day pipeline
 
-def shaped_day(fleet, hh, day, case, cap=None, **kwargs):
-    """``simulate_day`` from plans freshly shaped for it under ``cap``."""
+def shaped_day(fleet, hh, day, case, cap=None):
+    """``simulate_day`` from plans freshly shaped under ``cap`` and
+    walked for it."""
     shaped = shape_fleet(fleet, hh, day.da_profile, case.conv, cap=cap)
-    return simulate_day(fleet, hh, day, case, shaped, **kwargs)
+    return simulate_day(fleet, hh, day, case,
+                        walk_fleet(fleet, hh, day, case, shaped))
 
 
 def test_simulate_day_freezes_pre_walk_aggregate():
@@ -368,7 +373,7 @@ def test_simulate_day_without_altering_keeps_the_shaped_plans(monkeypatch):
     walks = []
     monkeypatch.setattr(coordinator, "real_time_walk",
                         lambda *args, **kwargs: walks.append(args))
-    res = simulate_day(fleet, hh, day, case, shaped, altering=False)
+    res = simulate_day(fleet, hh, day, case, shaped)
     assert walks == []
     assert res.altered_slots == []
     assert res.pev.tobytes() == shaped.pev.tobytes()
@@ -376,7 +381,7 @@ def test_simulate_day_without_altering_keeps_the_shaped_plans(monkeypatch):
     assert res.aggregate.tobytes() == res.da_aggregate.tobytes()
 
 
-def test_simulate_day_walks_under_the_plans_cap(monkeypatch):
+def test_walk_fleet_walks_under_the_plans_cap(monkeypatch):
     fleet = small_fleet()
     hh = np.full(N_SLOTS, 3.0)
     day = make_day(purchased=water_fill(
@@ -392,19 +397,20 @@ def test_simulate_day_walks_under_the_plans_cap(monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(coordinator, "real_time_walk", logged)
-    res = simulate_day(fleet, hh, day, CaseConfig(), shaped)
+    walked = walk_fleet(fleet, hh, day, CaseConfig(), shaped)
     assert caps == [shaped.cap] and cap is not None
+    res = simulate_day(fleet, hh, day, CaseConfig(), walked)
+    assert caps == [shaped.cap]  # the day walks nothing more
     assert np.all(res.aggregate <= cap + 1e-6)
 
 
-@pytest.mark.parametrize("case, altering, key", [
-    (CaseConfig(t0_term_scale=-1000.0), True, "run.t0_term_scale"),
-    (CaseConfig(lam_rt=1.0), True, "run.lam_rt"),
-    (CaseConfig(trigger=0.5), False, "run.trigger"),
-    (CaseConfig(conv=ConvergenceSpec(max_sweeps=0)), True, "run.max_sweeps"),
+@pytest.mark.parametrize("case, key", [
+    (CaseConfig(t0_term_scale=-1000.0), "run.t0_term_scale"),
+    (CaseConfig(lam_rt=1.0), "run.lam_rt"),
+    (CaseConfig(trigger=0.5), "run.trigger"),
+    (CaseConfig(conv=ConvergenceSpec(max_sweeps=0)), "run.max_sweeps"),
 ])
-def test_simulate_day_refuses_bad_run_settings(monkeypatch, case, altering,
-                                               key):
+def test_simulate_day_refuses_bad_run_settings(monkeypatch, case, key):
     fleet = small_fleet(n=4)
     hh = np.full(N_SLOTS, 3.0)
     day = make_day(purchased=water_fill(
@@ -418,8 +424,9 @@ def test_simulate_day_refuses_bad_run_settings(monkeypatch, case, altering,
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(coordinator, "best_response_pass", counted_pass)
-    with pytest.raises(ConfigError, match=key):
-        simulate_day(fleet, hh, day, case, shaped, altering=altering)
+    for run in (walk_fleet, simulate_day):
+        with pytest.raises(ConfigError, match=key):
+            run(fleet, hh, day, case, shaped)
     # refused before the walk's first pass
     assert passes == []
 
@@ -443,9 +450,10 @@ def test_simulate_day_from_shaped_plans_matches_a_fresh_run():
                     rt_prices=PriceSeries(rt, kind="rt"), da_profile=bid)
     case = CaseConfig(t0_term_scale=1000.0)
     shaped = shape_fleet(fleet, hh, day.da_profile, case.conv)
-    first = simulate_day(fleet, hh, day, case, shaped, altering=False)
+    first = simulate_day(fleet, hh, day, case, shaped)
     fresh = shaped_day(fleet, hh, day, case)
-    reused = simulate_day(fleet, hh, day, case, shaped)
+    reused = simulate_day(fleet, hh, day, case,
+                          walk_fleet(fleet, hh, day, case, shaped))
     assert reused.converged and reused.converged == fresh.converged
     assert reused.da_mse_trace == fresh.da_mse_trace
     assert reused.altered_slots == fresh.altered_slots == [10]
@@ -454,6 +462,28 @@ def test_simulate_day_from_shaped_plans_matches_a_fresh_run():
     assert not np.shares_memory(reused.pev, first.pev)
     assert not np.shares_memory(reused.pev, shaped.pev)
     assert np.array_equal(shaped.pev, first.pev)  # the walk left it alone
+
+
+@pytest.mark.parametrize("kappa", [None, 3.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_given_plans_with_a_non_finite_value_are_refused(kappa, bad):
+    fleet = small_fleet(n=4)
+    hh = np.full(N_SLOTS, 3.0)
+    day = spike_day(slot=10)
+    day.da_profile = water_fill(hh, sum(p.required_energy for p in fleet))
+    case = CaseConfig(kappa=kappa)
+    shaped = shape_fleet(fleet, hh, day.da_profile, case.conv,
+                         cap=cap_value(hh, fleet, kappa))
+    pev = shaped.pev.copy()
+    pev[1, fleet[1].window.start] = bad  # one window slot of user 2
+    bad_shaped = ShapedPlans(pev=pev, mse_trace=shaped.mse_trace,
+                             cap=shaped.cap)
+    bad_walked = WalkedPlans(shaped=shaped, pev=pev, altered_slots=(10,))
+    message = f"user {fleet[1].user_id}: plan has a non-finite value"
+    for run, plans in ((walk_fleet, bad_shaped), (simulate_day, bad_shaped),
+                       (simulate_day, bad_walked)):
+        with pytest.raises(ConfigError, match=message):
+            run(fleet, hh, day, case, plans)
 
 
 def test_convergence_spec_validation():

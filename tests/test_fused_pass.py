@@ -24,7 +24,8 @@ import fleetdr.coordinator as coordinator
 import fleetdr.report as report
 from fleetdr.coordinator import (PassCache, ScheduleState,
                                  best_response_pass, cap_value,
-                                 connected_users, shape_fleet, simulate_day)
+                                 connected_users, shape_fleet, simulate_day,
+                                 walk_fleet)
 from fleetdr.errors import ConfigError, InfeasibleError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
@@ -248,8 +249,12 @@ def test_passes_sharing_a_cache_match_passes_building_their_own(
         solves.append(0)
         shaped = shape_fleet(sc.fleet, sc.household_total,
                              sc.market.da_profile, cfg.case.conv, cap=cap)
-        return shaped, simulate_day(sc.fleet, sc.household_total, sc.market,
-                                    cfg.case, shaped)
+        walked = walk_fleet(sc.fleet, sc.household_total, sc.market,
+                            cfg.case, shaped)
+        walked_day = simulate_day(sc.fleet, sc.household_total, sc.market,
+                                  cfg.case, walked)
+        assert walked_day.altered_slots == [10]
+        return shaped, walked_day
 
     monkeypatch.setattr(coordinator, "solve_vehicle", counted_solve)
     shaped, walked = day()

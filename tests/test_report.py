@@ -15,8 +15,9 @@ import fleetdr.fleet
 import fleetdr.report as report
 import fleetdr.subproblem as subproblem
 from fleetdr.coordinator import (ConvergenceSpec, DayResult, ScheduleState,
-                                 WalkedPlans, cap_value, shape_day_ahead,
-                                 shape_fleet, simulate_day, walk_fleet)
+                                 WalkedPlans, cap_value, real_time_walk,
+                                 shape_day_ahead, shape_fleet, simulate_day,
+                                 walk_fleet)
 from fleetdr.errors import ConfigError, DataError, InfeasibleError
 from fleetdr.fleet import Dist, FleetSpec, N_SLOTS, sample_fleet
 from fleetdr.market import (
@@ -268,14 +269,16 @@ def count_shapings(monkeypatch, event_log):
 
 def keep_days(monkeypatch, plans=None):
     """Keep the ``DayResult`` of every case ``run_cases`` simulates, and
-    append the ``ShapedPlans`` each walks from to ``plans``."""
+    append the ``ShapedPlans`` each starts from to ``plans``."""
     days = []
     plans = [] if plans is None else plans
     simulate_day = report.simulate_day
 
-    def kept(fleet, hh, market, case, shaped, **kwargs):
-        plans.append(shaped)
-        days.append(simulate_day(fleet, hh, market, case, shaped, **kwargs))
+    def kept(fleet, hh, market, case, given):
+        # a walk's plans name the shaping it started from
+        plans.append(given.shaped if isinstance(given, WalkedPlans)
+                     else given)
+        days.append(simulate_day(fleet, hh, market, case, given))
         return days[-1]
 
     monkeypatch.setattr(report, "simulate_day", kept)
@@ -367,15 +370,18 @@ def log_shaping_pids(monkeypatch, event_log):
 
 def serial_days(sc, case):
     """Cases 2-4 as ``simulate_day`` runs in this process, each from plans
-    of its own ``shape_fleet`` call."""
-    cap = cap_value(sc.household_total, sc.fleet, case.kappa)
-    return [simulate_day(sc.fleet, sc.household_total, sc.market, case,
-                         shape_fleet(sc.fleet, sc.household_total,
-                                     sc.market.da_profile, case.conv,
-                                     cap=day_cap),
-                         altering=altering)
-            for altering, day_cap in ((False, None), (True, None),
-                                      (True, cap))]
+    of its own ``shape_fleet`` call, walked by ``walk_fleet`` for cases 3
+    and 4."""
+    fleet, hh, market = sc.fleet, sc.household_total, sc.market
+    cap = cap_value(hh, fleet, case.kappa)
+    days = []
+    for walks, day_cap in ((False, None), (True, None), (True, cap)):
+        plans = shape_fleet(fleet, hh, market.da_profile, case.conv,
+                            cap=day_cap)
+        if walks:
+            plans = walk_fleet(fleet, hh, market, case, plans)
+        days.append(simulate_day(fleet, hh, market, case, plans))
+    return days
 
 
 @pytest.mark.parametrize("config", [
@@ -466,28 +472,40 @@ def test_an_uncapped_day_walks_once_and_forks_nothing(monkeypatch,
     monkeypatch.setattr(os, "fork", no_fork)
     log_walk_pids(monkeypatch, event_log)
     plans = []
-    keep_days(monkeypatch, plans)
+    days = keep_days(monkeypatch, plans)
     run_cases(*build_inputs(), CaseConfig(t0_term_scale=1000.0))
     assert event_log.values("walked in") == [os.getpid()]
-    # cases 3 and 4 take the one walk
-    assert isinstance(plans[1], WalkedPlans) and plans[2] is plans[1]
+    # cases 2-4 start from one shaping, and cases 3 and 4 take the one walk
+    assert plans[0] is plans[1] is plans[2]
+    assert days[1].altered_slots
+    assert days[2].altered_slots == days[1].altered_slots
+    assert days[2].pev.tobytes() == days[1].pev.tobytes()
 
 
 def test_a_day_given_a_walk_takes_it_as_it_is(monkeypatch, event_log):
     fleet, hh, market = build_inputs()
     case = CaseConfig(kappa=1.5, t0_term_scale=1000.0)
-    shaped = shape_fleet(fleet, hh, market.da_profile, case.conv,
-                         cap=cap_value(hh, fleet, case.kappa))
-    want = simulate_day(fleet, hh, market, case, shaped)
+    cap = cap_value(hh, fleet, case.kappa)
+    shaped = shape_fleet(fleet, hh, market.da_profile, case.conv, cap=cap)
+    state = ScheduleState(fleet=fleet, household_total=hh,
+                          da_profile=market.da_profile, pev=shaped.pev)
+    altered = real_time_walk(state, market, case, cap=cap)
     walked = walk_fleet(fleet, hh, market, case, shaped)
     log_walk_pids(monkeypatch, event_log)
+    kept = simulate_day(fleet, hh, market, case, shaped)
     got = simulate_day(fleet, hh, market, case, walked)
-    assert event_log.values("walked in") == []
-    assert want.altered_slots  # the spike replanned
-    for name in ("pev", "aggregate", "da_aggregate"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert (got.da_mse_trace, got.altered_slots, got.converged) == (
-        want.da_mse_trace, want.altered_slots, want.converged)
+    assert event_log.values("walked in") == []  # for either kind of plans
+    assert altered  # the spike replanned
+    assert got.pev.tobytes() == state.pev.tobytes()
+    assert got.aggregate.tobytes() == state.aggregate.tobytes()
+    assert got.altered_slots == altered
+    # the day-ahead side is the shaped plans', as the day that keeps them
+    assert kept.altered_slots == []
+    assert kept.pev.tobytes() == shaped.pev.tobytes()
+    assert (got.da_aggregate.tobytes() == kept.da_aggregate.tobytes()
+            == kept.aggregate.tobytes())
+    assert got.da_mse_trace == kept.da_mse_trace == list(shaped.mse_trace)
+    assert got.converged == kept.converged
     # the day holds its own plans; the walk's stay read-only
     assert got.pev.flags.writeable and not walked.pev.flags.writeable
     assert not np.shares_memory(got.pev, walked.pev)

@@ -10,7 +10,8 @@ from test_v2g_fleet import half_v2g_config
 
 import fleetdr.coordinator as coordinator
 from fleetdr.coordinator import (ScheduleState, cap_value, real_time_walk,
-                                 shape_day_ahead, shape_fleet, simulate_day)
+                                 shape_day_ahead, shape_fleet, simulate_day,
+                                 walk_fleet)
 from fleetdr.errors import ConfigError
 from fleetdr.fleet import N_SLOTS, PevProfile
 from fleetdr.scenario import build_scenario
@@ -65,8 +66,11 @@ def walked_plans(cfg):
     cap = cap_value(sc.household_total, sc.fleet, cfg.case.kappa)
     shaped = shape_fleet(sc.fleet, sc.household_total, sc.market.da_profile,
                          cfg.case.conv, cap=cap)
+    walked = walk_fleet(sc.fleet, sc.household_total, sc.market, cfg.case,
+                        shaped)
     day = simulate_day(sc.fleet, sc.household_total, sc.market, cfg.case,
-                       shaped)
+                       walked)
+    assert day.altered_slots == [10]
     return sc.fleet, day.pev
 
 
